@@ -3,11 +3,11 @@
 //
 //  1. A measured throughput ladder for the batched application engine
 //     (DESIGN.md §12): JPEG encode/decode, MLP inference, and FIR/Sobel
-//     filtering each run scalar-reference → batched → batched+threads on
-//     REALM16, asserting bit-identical outputs at every rung (the bench
-//     exits 1 on any byte/pixel/prediction mismatch) and reporting the
-//     speedups.  `speedup_batched_vs_scalar` (single-threaded JPEG encode)
-//     is the CI-gated floor.
+//     filtering each run scalar twin (tests/oracle) → batched →
+//     batched+threads on REALM16, asserting bit-identical outputs at every
+//     rung (the bench exits 1 on any byte/pixel/prediction mismatch) and
+//     reporting the speedups.  `speedup_batched_vs_scalar`
+//     (single-threaded JPEG encode) is the CI-gated floor.
 //
 //  2. The quality table: the error-resilient workloads the paper's
 //     introduction motivates — multimedia filtering (Gaussian blur), feature
@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "oracle/oracle.hpp"
 #include "realm/dsp/filter.hpp"
 #include "realm/fp/float_multiplier.hpp"
 #include "realm/jpeg/codec.hpp"
@@ -77,11 +78,8 @@ int main(int argc, char** argv) {
   const std::string ladder_spec = "realm:m=16,t=8";
   const auto lmul = mult::make_multiplier(ladder_spec, 16);
 
-  // --- 1. JPEG ladder: scalar reference -> batched -> batched+threads ---
+  // --- 1. JPEG ladder: scalar twin -> batched -> batched+threads ---
   const auto limg = jpeg::synthetic_cameraman(args.image_size);
-  jpeg::CodecOptions ref_opts;
-  ref_opts.quality = 50;
-  ref_opts.umul = lmul->as_function();
   jpeg::CodecOptions b1_opts;
   b1_opts.quality = 50;
   b1_opts.mul = lmul.get();
@@ -89,21 +87,23 @@ int main(int argc, char** argv) {
   jpeg::CodecOptions bt_opts = b1_opts;
   bt_opts.threads = args.threads;
 
-  const auto c_ref = jpeg::encode(limg, ref_opts);
+  const auto c_ref = oracle::jpeg_encode(limg, 50, *lmul);
   const auto c_b1 = jpeg::encode(limg, b1_opts);
   const auto c_bt = jpeg::encode(limg, bt_opts);
   require(same_compressed(c_ref, c_b1), "JPEG bytes: batched != scalar reference");
   require(same_compressed(c_ref, c_bt), "JPEG bytes: threaded != single-thread batch");
-  const auto d_ref = jpeg::decode(c_ref, ref_opts);
+  const auto d_ref = oracle::jpeg_decode(c_ref, *lmul);
   const auto d_b1 = jpeg::decode(c_ref, b1_opts);
   const auto d_bt = jpeg::decode(c_ref, bt_opts);
   require(d_ref.pixels() == d_b1.pixels(), "JPEG pixels: batched != scalar reference");
   require(d_ref.pixels() == d_bt.pixels(), "JPEG pixels: threaded != single-thread batch");
 
-  const double t_enc_ref = measure_seconds([&] { (void)jpeg::encode(limg, ref_opts); });
+  const double t_enc_ref =
+      measure_seconds([&] { (void)oracle::jpeg_encode(limg, 50, *lmul); });
   const double t_enc_b1 = measure_seconds([&] { (void)jpeg::encode(limg, b1_opts); });
   const double t_enc_bt = measure_seconds([&] { (void)jpeg::encode(limg, bt_opts); });
-  const double t_dec_ref = measure_seconds([&] { (void)jpeg::decode(c_ref, ref_opts); });
+  const double t_dec_ref =
+      measure_seconds([&] { (void)oracle::jpeg_decode(c_ref, *lmul); });
   const double t_dec_b1 = measure_seconds([&] { (void)jpeg::decode(c_ref, b1_opts); });
   const double t_dec_bt = measure_seconds([&] { (void)jpeg::decode(c_ref, bt_opts); });
   const double mpix = 1e-6 * limg.width() * limg.height();
@@ -134,30 +134,32 @@ int main(int argc, char** argv) {
   const auto test = nn::make_two_moons(1000, 0.25, 0x7E57);
   net.train(train, 60, 0.05);
   const auto qnet = net.quantize(8);
-  const auto lf = lmul->as_function();
-  const auto pred_batch = nn::predict_fixed_batch(qnet, test.x, *lmul);
+  const auto pred_batch = nn::predict_fixed(qnet, test.x, *lmul);
   for (std::size_t i = 0; i < test.x.size(); ++i) {
-    require(pred_batch[i] == nn::predict_fixed(qnet, test.x[i], lf),
+    require(pred_batch[i] == oracle::predict_fixed(qnet, test.x[i], *lmul),
             "MLP predictions: batched != scalar reference");
   }
-  const double t_nn_ref = measure_seconds([&] { (void)nn::accuracy_fixed(qnet, test, lf); });
-  const double t_nn_b = measure_seconds([&] { (void)nn::accuracy_fixed_batch(qnet, test, *lmul); });
+  const double t_nn_ref =
+      measure_seconds([&] { (void)oracle::accuracy_fixed(qnet, test, *lmul); });
+  const double t_nn_b =
+      measure_seconds([&] { (void)nn::accuracy_fixed(qnet, test, *lmul); });
   row("mlp inference batched", t_nn_ref, t_nn_b);
   sink.metric("nn_speedup_batched_vs_scalar", t_nn_ref / t_nn_b);
 
   // --- 3. DSP ladder ---
   const auto dimg = jpeg::synthetic_cameraman(std::min(args.image_size, 256));
-  const auto blur_s = dsp::gaussian_blur(dimg, 1.5, lf);
-  const auto blur_b = dsp::gaussian_blur_batch(dimg, 1.5, *lmul);
+  const auto blur_s = oracle::gaussian_blur(dimg, 1.5, *lmul);
+  const auto blur_b = dsp::gaussian_blur(dimg, 1.5, *lmul);
   require(blur_s.pixels() == blur_b.pixels(), "blur pixels: batched != scalar reference");
-  const auto sob_s = dsp::sobel(dimg, lf);
-  const auto sob_b = dsp::sobel_batch(dimg, *lmul);
+  const auto sob_s = oracle::sobel(dimg, *lmul);
+  const auto sob_b = dsp::sobel(dimg, *lmul);
   require(sob_s.pixels() == sob_b.pixels(), "sobel pixels: batched != scalar reference");
-  const double t_blur_ref = measure_seconds([&] { (void)dsp::gaussian_blur(dimg, 1.5, lf); });
+  const double t_blur_ref =
+      measure_seconds([&] { (void)oracle::gaussian_blur(dimg, 1.5, *lmul); });
   const double t_blur_b =
-      measure_seconds([&] { (void)dsp::gaussian_blur_batch(dimg, 1.5, *lmul); });
-  const double t_sob_ref = measure_seconds([&] { (void)dsp::sobel(dimg, lf); });
-  const double t_sob_b = measure_seconds([&] { (void)dsp::sobel_batch(dimg, *lmul); });
+      measure_seconds([&] { (void)dsp::gaussian_blur(dimg, 1.5, *lmul); });
+  const double t_sob_ref = measure_seconds([&] { (void)oracle::sobel(dimg, *lmul); });
+  const double t_sob_b = measure_seconds([&] { (void)dsp::sobel(dimg, *lmul); });
   row("gaussian blur batched", t_blur_ref, t_blur_b);
   row("sobel batched", t_sob_ref, t_sob_b);
   sink.metric("dsp_blur_speedup_batched_vs_scalar", t_blur_ref / t_blur_b);
@@ -165,14 +167,14 @@ int main(int argc, char** argv) {
   bench::print_rule(74);
   std::printf("all rungs bit-identical to the scalar reference path.\n\n");
 
-  // --- 4. Quality table (batched paths; values identical to scalar) ---
+  // --- 4. Quality table (batched paths; values identical to the scalar twins) ---
   const std::vector<std::string> specs = {"accurate", "realm:m=16,t=8", "realm:m=8,t=8",
                                           "mbm:t=0",  "calm",           "drum:k=6",
                                           "ssm:m=8"};
-  const num::UMulFn exact = [](std::uint64_t a, std::uint64_t b) { return a * b; };
+  const auto exact = mult::make_multiplier("accurate", 16);
   const auto img = dimg;
-  const auto blur_ref = dsp::gaussian_blur(img, 1.5, exact);
-  const auto sobel_ref = dsp::sobel(img, exact);
+  const auto blur_ref = dsp::gaussian_blur(img, 1.5, *exact);
+  const auto sobel_ref = dsp::sobel(img, *exact);
   std::printf("float MLP reference accuracy: %.1f %%\n\n", 100.0 * net.accuracy(test));
 
   // FP32 mean relative error over random operands.
@@ -195,11 +197,11 @@ int main(int argc, char** argv) {
   bench::print_rule(74);
   for (const auto& spec : specs) {
     const auto mul = mult::make_multiplier(spec, 16);
-    const auto blur = dsp::gaussian_blur_batch(img, 1.5, *mul);
-    const auto edges = dsp::sobel_batch(img, *mul);
+    const auto blur = dsp::gaussian_blur(img, 1.5, *mul);
+    const auto edges = dsp::sobel(img, *mul);
     const double blur_psnr = jpeg::psnr(blur_ref, blur);
     const double sobel_psnr = jpeg::psnr(sobel_ref, edges);
-    const double acc = 100.0 * nn::accuracy_fixed_batch(qnet, test, *mul);
+    const double acc = 100.0 * nn::accuracy_fixed(qnet, test, *mul);
     const double fpe = fp_mean_error(spec);
     const auto fmt = [](double v) {
       return std::isinf(v) ? 99.9 : v;  // identical images -> "exact"

@@ -10,13 +10,11 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "realm/jpeg/image.hpp"
-#include "realm/numeric/fixed_point.hpp"
 
 namespace realm {
 class Multiplier;
@@ -26,7 +24,6 @@ namespace realm::jpeg {
 
 struct CodecOptions {
   int quality = 50;
-  num::UMulFn umul;  ///< multiplier for the DCT/IDCT datapath; empty = exact
   /// Route dequantization through the multiplier under test as well.  Off by
   /// default: the dequantizer multiplies by one of 64 *known constants*,
   /// which hardware implements as shift-add constant multipliers — the
@@ -35,18 +32,18 @@ struct CodecOptions {
   /// frequent power-of-two quantizer constants otherwise excite the
   /// log-multipliers' x = 0 ridge coherently across stages.)
   bool approximate_dequant = false;
-  /// Batched panel engine: when set, encode/decode route the DCT, the IDCT
-  /// and (with approximate_dequant) the dequantizer through this design's
-  /// devirtualized multiply_row_batch kernels — W blocks per call instead of
-  /// one virtual multiply per product — and shard the block passes over the
-  /// persistent thread pool per `threads`.  Output is bit-identical to the
-  /// scalar reference path with umul = mul->as_function(); `umul` is
-  /// ignored while `mul` is set.  Not owned; must outlive the call.
+  /// The multiplier under test in the DCT/IDCT datapath (and, with
+  /// approximate_dequant, the dequantizer).  Required: encode/decode throw
+  /// std::invalid_argument when it is null; exact arithmetic means passing
+  /// the `accurate` design.  The block passes run on its devirtualized
+  /// multiply_row_batch kernels — W blocks per call instead of one virtual
+  /// multiply per product — sharded over the persistent thread pool per
+  /// `threads`.  Not owned; must outlive the call.
   const Multiplier* mul = nullptr;
-  /// Parallelism of the batched engine's block shards (1 = serial, 0 = all
-  /// hardware threads).  Encoded bytes and decoded pixels are invariant to
-  /// this by construction: the shard grid is a fixed function of the block
-  /// count and shards write disjoint block-index ranges.
+  /// Parallelism of the block shards (1 = serial, 0 = all hardware
+  /// threads).  Encoded bytes and decoded pixels are invariant to this by
+  /// construction: the shard grid is a fixed function of the block count
+  /// and shards write disjoint block-index ranges.
   int threads = 1;
 };
 
@@ -62,10 +59,12 @@ struct Compressed {
   [[nodiscard]] std::size_t size_bytes() const noexcept;
 };
 
-/// Compresses `img` (dimensions must be multiples of 8).
+/// Compresses `img` (dimensions must be multiples of 8; throws
+/// std::invalid_argument otherwise or when opts.mul is null).
 [[nodiscard]] Compressed encode(const Image& img, const CodecOptions& opts);
 
 /// Reconstructs an image; uses the same multiplier options for the IDCT.
+/// Throws std::invalid_argument when opts.mul is null.
 [[nodiscard]] Image decode(const Compressed& c, const CodecOptions& opts);
 
 /// encode + decode in one call — what the Table II evaluation runs.
@@ -81,25 +80,17 @@ struct Compressed {
 void write_compressed(const Compressed& c, const std::string& path);
 [[nodiscard]] Compressed read_compressed(const std::string& path);
 
-/// Plane-level API (used by the color extension): same pipeline with an
-/// explicit quantization table instead of the quality-scaled luminance one.
-/// Dispatches to the batched panel engine when opts.mul is set, else to the
-/// scalar reference path.
-[[nodiscard]] Compressed encode_plane(const Image& img,
-                                      const std::array<std::uint16_t, 64>& qtable,
-                                      const CodecOptions& opts);
-[[nodiscard]] Image decode_plane(const Compressed& c,
-                                 const std::array<std::uint16_t, 64>& qtable,
-                                 const CodecOptions& opts);
+/// The lossless entropy stage of encode: zigzag scan, run-length tokens and
+/// canonical Huffman tables built from their statistics, over `levels` —
+/// quantized coefficients, 64 per 8×8 block, blocks in raster order over
+/// `img`.  Only img's dimensions are read; `quality` is left at its default
+/// for the caller to stamp.
+[[nodiscard]] Compressed entropy_encode(const Image& img,
+                                        const std::vector<std::int16_t>& levels);
 
-/// The retained scalar paths — one virtual multiply per product through
-/// opts.umul, single-threaded — kept as the bit-identity cross-check for
-/// the batched engine (opts.mul is ignored here).
-[[nodiscard]] Compressed encode_plane_reference(const Image& img,
-                                                const std::array<std::uint16_t, 64>& qtable,
-                                                const CodecOptions& opts);
-[[nodiscard]] Image decode_plane_reference(const Compressed& c,
-                                           const std::array<std::uint16_t, 64>& qtable,
-                                           const CodecOptions& opts);
+/// The inverse of entropy_encode: parses `c.payload` into block-major
+/// quantized levels.  Throws std::runtime_error on a malformed bitstream and
+/// std::invalid_argument on a malformed Huffman table.
+[[nodiscard]] std::vector<std::int16_t> parse_levels(const Compressed& c);
 
 }  // namespace realm::jpeg

@@ -46,7 +46,8 @@ class HuffmanCode {
   /// no code).  Lengths are capped at 16 bits via the JPEG-style adjustment.
   static HuffmanCode from_frequencies(const std::vector<std::uint64_t>& freq);
 
-  /// Rebuilds the code from stored lengths (canonical assignment).
+  /// Rebuilds the code from stored lengths (canonical assignment).  Throws
+  /// std::invalid_argument on a length above 16.
   static HuffmanCode from_lengths(const std::vector<std::uint8_t>& lengths);
 
   [[nodiscard]] const std::vector<std::uint8_t>& lengths() const noexcept {

@@ -12,8 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "realm/numeric/fixed_point.hpp"
-
 namespace realm {
 class Multiplier;
 }  // namespace realm
@@ -39,18 +37,12 @@ void quantize_panel(const std::int16_t* coeffs,
                     const std::array<std::uint16_t, 64>& qtable, std::int16_t* levels,
                     std::size_t n_blocks) noexcept;
 
-/// Dequantize through the (possibly approximate) multiplier.  The quantizer
-/// constant is the first (hardware-resident) operand — the same side the
-/// batched panel holds fixed — so the scalar reference and dequantize_panel
-/// issue identical products even for non-commutative approximate designs.
-[[nodiscard]] std::int32_t dequantize(std::int16_t level, std::uint16_t q,
-                                      const num::UMulFn& umul);
-
 /// Dequantize `n_blocks` consecutive 64-level blocks into 16-bit-saturated
 /// coefficients, one multiply_row_batch per coefficient position (the table
-/// entry is fixed across blocks).  `mul == nullptr` multiplies exactly —
-/// the codec default, where the constant dequantizer is not the design under
-/// test.  Bit-identical to the scalar dequantize + sat_signed(·, 16) path.
+/// entry is fixed across blocks).  The quantizer constant is the first
+/// (hardware-resident) operand, which matters for non-commutative
+/// approximate designs.  `mul == nullptr` multiplies exactly — the codec
+/// default, where the constant dequantizer is not the design under test.
 /// `out` may not alias `levels`.
 void dequantize_panel(const std::int16_t* levels,
                       const std::array<std::uint16_t, 64>& qtable, std::int16_t* out,

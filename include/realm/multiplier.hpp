@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "realm/obs/counters.hpp"
@@ -98,13 +97,6 @@ class Multiplier {
 
   /// Operand width N in bits.
   [[nodiscard]] virtual int width() const = 0;
-
-  /// Convenience adapter for code that wants a plain function object
-  /// (e.g. the fixed-point JPEG datapath).
-  [[nodiscard]] std::function<std::uint64_t(std::uint64_t, std::uint64_t)>
-  as_function() const {
-    return [this](std::uint64_t a, std::uint64_t b) { return multiply(a, b); };
-  }
 };
 
 }  // namespace realm

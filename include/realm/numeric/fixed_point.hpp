@@ -9,20 +9,14 @@
 // unsigned integer multiplier for handling signed numbers"): take magnitudes,
 // multiply unsigned, re-apply the XOR of the signs.
 //
-// Two tiers of API:
-//   * scalar (signed_mul / fx_mul) — one product per call through a UMulFn;
-//     the reference path every application keeps for cross-checking.
-//   * batched (signed_mul_batch / signed_row_batch) — contiguous spans of
-//     products through a Multiplier's devirtualized multiply_batch /
-//     multiply_row_batch kernels.  Bit-identical to the scalar tier by
-//     construction: same magnitude decomposition, same unsigned products
-//     (the Multiplier batch contract), same sign re-application.
+// Products run over contiguous spans through a Multiplier's devirtualized
+// multiply_batch / multiply_row_batch kernels.  The scalar one-product-per-
+// call twin the tests compare against lives in tests/oracle.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
 namespace realm {
 class Multiplier;
@@ -30,43 +24,29 @@ class Multiplier;
 
 namespace realm::num {
 
-/// Unsigned integer multiplication function: (a, b) -> approximate product.
-/// Operands are expected to fit the multiplier's native width (16 bits for
-/// every design evaluated in the paper).
-using UMulFn = std::function<std::uint64_t(std::uint64_t, std::uint64_t)>;
-
-/// Signed multiply built on an unsigned multiplier via sign-magnitude.
-///
-/// Precondition (the magnitude domain): both operands must have a
-/// representable magnitude, i.e. neither may be INT64_MIN — |INT64_MIN|
-/// overflows int64_t, so its "magnitude" would wrap to itself and the
-/// unsigned multiplier would see a garbage 2^63 operand.  Debug builds
-/// assert; release builds treat it as the usual precondition violation
-/// (values anywhere near the 16-bit application datapath can never hit it).
-[[nodiscard]] std::int64_t signed_mul(std::int64_t a, std::int64_t b, const UMulFn& umul);
-
 /// Element-wise signed product over contiguous spans:
-/// out[i] = signed_mul(a[i], b[i]) for i in [0, n), with the unsigned
-/// magnitude products formed by mul.multiply_batch — one devirtualized
-/// kernel call per block instead of n virtual calls.  `out` may alias
-/// neither input.  Same magnitude-domain precondition as signed_mul.
+/// out[i] = ±mul.multiply(|a[i]|, |b[i]|) for i in [0, n), the sign being the
+/// XOR of the operand signs, with the unsigned magnitude products formed by
+/// mul.multiply_batch — one devirtualized kernel call per block instead of n
+/// virtual calls.  `out` may alias neither input.
+///
+/// Precondition (the magnitude domain): no operand may be INT64_MIN —
+/// |INT64_MIN| overflows int64_t, so its "magnitude" would wrap to itself and
+/// the unsigned multiplier would see a garbage 2^63 operand.  Debug builds
+/// assert (values anywhere near the 16-bit application datapath can never
+/// hit it).
 void signed_mul_batch(const std::int64_t* a, const std::int64_t* b, std::int64_t* out,
                       std::size_t n, const Multiplier& mul);
 
-/// Fixed-operand signed row product: out[i] = signed_mul(a_fixed, b[i]) for
-/// i in [0, n), lowered onto mul.multiply_row_batch so the fixed operand's
+/// Fixed-operand signed row product: out[i] = ±mul.multiply(|a_fixed|, |b[i]|)
+/// for i in [0, n), lowered onto mul.multiply_row_batch so the fixed operand's
 /// data-dependent work (LOD, log fraction, segment row) is hoisted out of
 /// the loop once.  This is the application datapath's dominant shape: one
 /// DCT coefficient times a lane of pixels, one weight times a lane of
 /// activations, one FIR tap times an image row.  `out` must not alias `b`.
+/// Same magnitude-domain precondition as signed_mul_batch.
 void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t* out,
                       std::size_t n, const Multiplier& mul);
-
-/// Fixed-point multiply: (a * b) >> frac_bits with the product formed by the
-/// supplied unsigned multiplier.  Rounds toward zero, as a hardware
-/// truncation of the low product bits would.
-[[nodiscard]] std::int32_t fx_mul(std::int32_t a, std::int32_t b, int frac_bits,
-                                  const UMulFn& umul);
 
 /// Convert a double to Q(frac_bits) with round-to-nearest.
 [[nodiscard]] std::int32_t to_fx(double v, int frac_bits);

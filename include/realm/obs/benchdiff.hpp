@@ -38,6 +38,9 @@ struct Record {
   std::string commit;
   std::string host;
   std::string utc;
+  /// Hardware threads of the recording host; 0 when the record has no stamp.
+  /// Runs from hosts with different thread counts are never compared.
+  int hw_threads = 0;
   std::map<std::string, double> values;  ///< metric./counter./span./vhist. keys
 };
 
@@ -90,13 +93,15 @@ struct DiffReport {
 
 /// Compares `current` against `baseline`.  Only directional keys can set
 /// `regressed`; informational keys are carried through for reporting.
+/// Throws std::runtime_error when the two hw_threads stamps differ.
 [[nodiscard]] DiffReport diff(const Record& baseline, const Record& current,
                               const Tolerances& tol);
 
 /// Per-key median over `history` (NaN values are skipped per key; even
 /// sizes take the lower middle so the result is always an observed value).
 /// Stamp fields are taken from the newest record by utc.  Throws
-/// std::runtime_error when `history` is empty.
+/// std::runtime_error when `history` is empty or its records differ in
+/// hw_threads.
 [[nodiscard]] Record median_record(const std::vector<Record>& history);
 
 }  // namespace realm::obs::benchdiff

@@ -66,35 +66,17 @@ unsigned resolve_threads(int requested) {
   return hw == 0 ? 1 : hw;
 }
 
-num::UMulFn effective_mul(const CodecOptions& opts) {
-  if (opts.umul) return opts.umul;
-  return [](std::uint64_t a, std::uint64_t b) { return a * b; };
-}
-
-num::UMulFn dequant_mul(const CodecOptions& opts) {
-  if (opts.approximate_dequant) return effective_mul(opts);
-  return [](std::uint64_t a, std::uint64_t b) { return a * b; };
-}
-
-void forward_block(const Image& img, int bx, int by, const num::UMulFn& mul,
-                   const std::array<std::uint16_t, 64>& qtable, std::int16_t* levels) {
-  std::array<std::int16_t, 64> block{};
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      block[static_cast<std::size_t>(y * 8 + x)] =
-          static_cast<std::int16_t>(img.at(bx + x, by + y) - 128);
-    }
+const Multiplier& require_mul(const CodecOptions& opts) {
+  if (opts.mul == nullptr) {
+    throw std::invalid_argument(
+        "jpeg codec: CodecOptions::mul is required (pass the accurate design for "
+        "exact arithmetic)");
   }
-  std::array<std::int16_t, 64> coeffs{};
-  fdct8x8(block, coeffs, mul);
-  for (std::size_t i = 0; i < 64; ++i) {
-    levels[i] = quantize(coeffs[i], qtable[i]);
-  }
+  return *opts.mul;
 }
 
-// Entropy stage shared verbatim by the reference and batched encoders: the
-// two engines differ only in how the quantized `levels` array is produced,
-// so byte-identity of the bitstream reduces to bit-identity of the levels.
+}  // namespace
+
 Compressed entropy_encode(const Image& img, const std::vector<std::int16_t>& levels) {
   const auto& zz = zigzag_order();
   const std::size_t n_blocks = levels.size() / 64;
@@ -177,9 +159,8 @@ Compressed entropy_encode(const Image& img, const std::vector<std::int16_t>& lev
   return out;
 }
 
-// Serial bitstream parse into quantized levels, block-major.  Shared by both
-// decoders; entropy decoding is inherently sequential (DC prediction plus a
-// single bit cursor), the arithmetic downstream of it is not.
+// Entropy decoding is inherently sequential (DC prediction plus a single bit
+// cursor); the arithmetic downstream of it is sharded.
 std::vector<std::int16_t> parse_levels(const Compressed& c) {
   REALM_TRACE_SCOPE("jpeg/decode/parse");
   const auto& zz = zigzag_order();
@@ -217,62 +198,13 @@ std::vector<std::int16_t> parse_levels(const Compressed& c) {
   return levels;
 }
 
-void inverse_block(const std::int16_t* levels, const std::array<std::uint16_t, 64>& qtable,
-                   const num::UMulFn& mul, const num::UMulFn& dq_mul, Image& img, int bx,
-                   int by) {
-  std::array<std::int16_t, 64> coeffs{};
-  for (std::size_t i = 0; i < 64; ++i) {
-    coeffs[i] = static_cast<std::int16_t>(
-        num::sat_signed(dequantize(levels[i], qtable[i], dq_mul), 16));
-  }
-  std::array<std::int16_t, 64> pixels{};
-  idct8x8(coeffs, pixels, mul);
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const int v = pixels[static_cast<std::size_t>(y * 8 + x)] + 128;
-      img.set(bx + x, by + y, static_cast<std::uint8_t>(std::clamp(v, 0, 255)));
-    }
-  }
-}
-
-}  // namespace
-
 std::size_t Compressed::size_bytes() const noexcept {
   return payload.size() + dc_code_lengths.size() + ac_code_lengths.size() + 16;
 }
 
 Compressed encode(const Image& img, const CodecOptions& opts) {
-  return encode_plane(img, scaled_table(opts.quality), opts);
-}
-
-Compressed encode_plane_reference(const Image& img,
-                                  const std::array<std::uint16_t, 64>& qtable,
-                                  const CodecOptions& opts) {
-  if (img.width() % 8 != 0 || img.height() % 8 != 0) {
-    throw std::invalid_argument("encode: dimensions must be multiples of 8");
-  }
-  REALM_TRACE_SCOPE("jpeg/encode");
-  const num::UMulFn mul = effective_mul(opts);
-  const std::size_t n_blocks = static_cast<std::size_t>(img.width() / 8) *
-                               static_cast<std::size_t>(img.height() / 8);
-  std::vector<std::int16_t> levels(n_blocks * 64);
-  {
-    REALM_TRACE_SCOPE("jpeg/encode/transform");
-    std::size_t bi = 0;
-    for (int by = 0; by < img.height(); by += 8) {
-      for (int bx = 0; bx < img.width(); bx += 8, ++bi) {
-        forward_block(img, bx, by, mul, qtable, levels.data() + bi * 64);
-      }
-    }
-  }
-  Compressed out = entropy_encode(img, levels);
-  out.quality = opts.quality;
-  return out;
-}
-
-Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& qtable,
-                        const CodecOptions& opts) {
-  if (opts.mul == nullptr) return encode_plane_reference(img, qtable, opts);
+  const Multiplier& mul = require_mul(opts);
+  const auto qtable = scaled_table(opts.quality);
   if (img.width() % 8 != 0 || img.height() % 8 != 0) {
     throw std::invalid_argument("encode: dimensions must be multiples of 8");
   }
@@ -302,7 +234,7 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
               }
             }
           }
-          fdct_panel(panel, coeffs, nb, *opts.mul);
+          fdct_panel(panel, coeffs, nb, mul);
           quantize_panel(coeffs, qtable, levels.data() + b0 * 64, nb);
         });
   }
@@ -312,42 +244,15 @@ Compressed encode_plane(const Image& img, const std::array<std::uint16_t, 64>& q
 }
 
 Image decode(const Compressed& c, const CodecOptions& opts) {
-  return decode_plane(c, scaled_table(c.quality), opts);
-}
-
-Image decode_plane_reference(const Compressed& c,
-                             const std::array<std::uint16_t, 64>& qtable,
-                             const CodecOptions& opts) {
-  REALM_TRACE_SCOPE("jpeg/decode");
-  const num::UMulFn mul = effective_mul(opts);
-  const num::UMulFn dq = dequant_mul(opts);
-  const std::vector<std::int16_t> levels = parse_levels(c);
-
-  Image img{c.width, c.height};
-  const int bw = c.width / 8;
-  const std::size_t n_blocks = levels.size() / 64;
-  {
-    REALM_TRACE_SCOPE("jpeg/decode/inverse");
-    for (std::size_t bi = 0; bi < n_blocks; ++bi) {
-      const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
-      const int by = static_cast<int>(bi / static_cast<std::size_t>(bw)) * 8;
-      inverse_block(levels.data() + bi * 64, qtable, mul, dq, img, bx, by);
-    }
-  }
-  obs::counter_add(obs::Counter::kJpegBlocksDecoded, n_blocks);
-  return img;
-}
-
-Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qtable,
-                   const CodecOptions& opts) {
-  if (opts.mul == nullptr) return decode_plane_reference(c, qtable, opts);
+  const Multiplier& mul = require_mul(opts);
+  const auto qtable = scaled_table(c.quality);
   REALM_TRACE_SCOPE("jpeg/decode");
   const std::vector<std::int16_t> levels = parse_levels(c);
 
   Image img{c.width, c.height};
   const int bw = c.width / 8;
   const std::size_t n_blocks = levels.size() / 64;
-  const Multiplier* dq_mul = opts.approximate_dequant ? opts.mul : nullptr;
+  const Multiplier* dq_mul = opts.approximate_dequant ? &mul : nullptr;
   {
     REALM_TRACE_SCOPE("jpeg/decode/inverse_batched");
     const std::size_t shards = (n_blocks + kCodecShardBlocks - 1) / kCodecShardBlocks;
@@ -359,7 +264,7 @@ Image decode_plane(const Compressed& c, const std::array<std::uint16_t, 64>& qta
           std::int16_t coeffs[kCodecShardBlocks * 64];
           std::int16_t pixels[kCodecShardBlocks * 64];
           dequantize_panel(levels.data() + b0 * 64, qtable, coeffs, nb, dq_mul);
-          idct_panel(coeffs, pixels, nb, *opts.mul);
+          idct_panel(coeffs, pixels, nb, mul);
           for (std::size_t b = 0; b < nb; ++b) {
             const std::size_t bi = b0 + b;
             const int bx = static_cast<int>(bi % static_cast<std::size_t>(bw)) * 8;
@@ -442,6 +347,20 @@ Compressed deserialize(const std::vector<std::uint8_t>& blob) {
   c.dc_code_lengths = get_bytes(blob, pos);
   c.ac_code_lengths = get_bytes(blob, pos);
   c.payload = get_bytes(blob, pos);
+  // The encoder always emits one code length per symbol of each alphabet;
+  // a longer DC table would let a decoded category shift by up to 255.
+  if (c.dc_code_lengths.size() != std::size_t{kDcSymbols} ||
+      c.ac_code_lengths.size() != std::size_t{kAcSymbols}) {
+    throw std::runtime_error("deserialize: Huffman tables have the wrong size");
+  }
+  // Every block costs at least 2 payload bits (a DC code plus an EOB or an
+  // AC code), so a header declaring more blocks than that cannot be backed
+  // by its payload — reject it before decode sizes buffers from it.
+  const std::uint64_t blocks = std::uint64_t{static_cast<std::uint32_t>(c.width / 8)} *
+                               static_cast<std::uint32_t>(c.height / 8);
+  if (blocks > 4 * std::uint64_t{c.payload.size()}) {
+    throw std::runtime_error("deserialize: payload too short for the declared size");
+  }
   return c;
 }
 

@@ -24,50 +24,12 @@ std::array<std::int16_t, 64> make_matrix() {
 }
 
 // Round-to-nearest rescale by 2^-12, then clamp to the 16-bit datapath —
-// the single post-accumulation step both engines share verbatim.
+// the single post-accumulation step of every output.
 inline std::int32_t rescale_sat(std::int64_t acc) {
   const std::int64_t rounded =
       (acc + (acc >= 0 ? (1 << (kDctCoeffBits - 1)) : -(1 << (kDctCoeffBits - 1)))) >>
       kDctCoeffBits;
   return num::sat_signed(rounded, 16);
-}
-
-// One 8-point transform pass: out[u] = Σ_k m[u][k] · in[k], products through
-// the multiplier under test, accumulated in 64 bits and rescaled once — a
-// fixed-point MAC datapath.  `transpose_m` applies mᵀ instead.
-void pass(const std::array<std::int16_t, 64>& m, const std::int32_t in[8],
-          std::int32_t out[8], bool transpose_m, const num::UMulFn& umul) {
-  for (int u = 0; u < 8; ++u) {
-    std::int64_t acc = 0;
-    for (int k = 0; k < 8; ++k) {
-      const std::int16_t coeff =
-          m[static_cast<std::size_t>(transpose_m ? k * 8 + u : u * 8 + k)];
-      acc += num::signed_mul(coeff, in[k], umul);
-    }
-    out[u] = rescale_sat(acc);
-  }
-}
-
-void transform(const std::array<std::int16_t, 64>& in, std::array<std::int16_t, 64>& out,
-               bool inverse, const num::UMulFn& umul) {
-  const auto& c = dct_matrix_q12();
-  std::int32_t tmp[64];
-  // Column pass: tmp = M · in (M = C forward, Cᵀ inverse).
-  for (int j = 0; j < 8; ++j) {
-    std::int32_t col[8], res[8];
-    for (int k = 0; k < 8; ++k) col[k] = in[static_cast<std::size_t>(k * 8 + j)];
-    pass(c, col, res, inverse, umul);
-    for (int u = 0; u < 8; ++u) tmp[u * 8 + j] = res[u];
-  }
-  // Row pass: out = tmp · Mᵀ.
-  for (int i = 0; i < 8; ++i) {
-    std::int32_t row[8], res[8];
-    for (int k = 0; k < 8; ++k) row[k] = tmp[i * 8 + k];
-    pass(c, row, res, inverse, umul);
-    for (int v = 0; v < 8; ++v) {
-      out[static_cast<std::size_t>(i * 8 + v)] = static_cast<std::int16_t>(res[v]);
-    }
-  }
 }
 
 // ---- panel engine -------------------------------------------------------
@@ -76,10 +38,9 @@ void transform(const std::array<std::int16_t, 64>& in, std::array<std::int16_t, 
 // result stored *transposed*.  Feeding the first call's output back in gives
 // (M·(M·X)ᵀ)ᵀ = M·X·Mᵀ in natural orientation.  Per (output row u, tap k)
 // the coefficient is fixed across every block and every intra-block column,
-// so the panel pass issues one signed_row_batch over a W·8-wide lane per
-// (u, k) — 64 row-kernel calls instead of W·8·64 virtual multiplies — while
-// reproducing the scalar pass's per-output accumulation order (k ascending)
-// exactly.
+// so the panel pass issues one row batch over a W·8-wide lane per (u, k) —
+// 64 row-kernel calls instead of W·8·64 virtual multiplies — accumulating
+// each output in k-ascending order.
 
 constexpr std::size_t kPanelBlocks = 32;  // blocks per panel: lanes stay L1-resident
 constexpr std::size_t kLane = kPanelBlocks * 8;
@@ -88,12 +49,11 @@ constexpr std::size_t kLane = kPanelBlocks * 8;
 // rescale_sat(Σ_k m(u,k) · in[b][k*8+j]).
 //
 // Each tap lane is gathered *pre-split* into sign/magnitude form — the form
-// every (u, k) row batch consumes — so the decomposition num::signed_mul
-// derives per product (and signed_row_batch would re-derive 8 times per
-// lane, once per output u) happens exactly once per panel.  The row batches
-// then hit mul.multiply_row_batch directly and the sign is re-applied
-// branchlessly inside the accumulation: identical products, identical signs,
-// identical k-ascending order — bit-identity with the scalar pass holds.
+// every (u, k) row batch consumes — so the decomposition (which
+// signed_row_batch would re-derive 8 times per lane, once per output u)
+// happens exactly once per panel.  The row batches then hit
+// mul.multiply_row_batch directly and the sign is re-applied branchlessly
+// inside the accumulation.
 void pass_panel(const std::int16_t* in, std::int16_t* out, std::size_t nb,
                 bool transpose_m, const Multiplier& mul) {
   const auto& c = dct_matrix_q12();
@@ -120,7 +80,7 @@ void pass_panel(const std::int16_t* in, std::int16_t* out, std::size_t nb,
       const std::int64_t amask = coeff < 0 ? -1 : 0;
       mul.multiply_row_batch(ua, mag[k], prod, lane_len);
       for (std::size_t i = 0; i < lane_len; ++i) {
-        // (p ^ m) - m negates p where m == -1 — signed_mul's sign rule.
+        // (p ^ m) - m negates p where m == -1 — the sign-magnitude rule.
         const std::int64_t m = neg[k][i] ^ amask;
         acc[i] += (static_cast<std::int64_t>(prod[i]) ^ m) - m;
       }
@@ -151,16 +111,6 @@ void transform_panel(const std::int16_t* in, std::int16_t* out, std::size_t n_bl
 const std::array<std::int16_t, 64>& dct_matrix_q12() {
   static const std::array<std::int16_t, 64> c = make_matrix();
   return c;
-}
-
-void fdct8x8(const std::array<std::int16_t, 64>& block, std::array<std::int16_t, 64>& out,
-             const num::UMulFn& umul) {
-  transform(block, out, /*inverse=*/false, umul);
-}
-
-void idct8x8(const std::array<std::int16_t, 64>& coeffs,
-             std::array<std::int16_t, 64>& out, const num::UMulFn& umul) {
-  transform(coeffs, out, /*inverse=*/true, umul);
 }
 
 void fdct_panel(const std::int16_t* blocks, std::int16_t* out, std::size_t n_blocks,

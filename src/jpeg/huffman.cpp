@@ -140,6 +140,13 @@ HuffmanCode HuffmanCode::from_frequencies(const std::vector<std::uint64_t>& freq
 }
 
 HuffmanCode HuffmanCode::from_lengths(const std::vector<std::uint8_t>& lengths) {
+  // Lengths arrive from a stream header; the per-length decode tables hold
+  // kMaxLen + 2 entries.
+  for (const auto l : lengths) {
+    if (l > kMaxLen) {
+      throw std::invalid_argument("HuffmanCode::from_lengths: code length > 16");
+    }
+  }
   HuffmanCode hc;
   hc.lengths_ = lengths;
   hc.assign_codes();

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "realm/multiplier.hpp"
+#include "realm/numeric/fixed_point.hpp"
 
 namespace realm::jpeg {
 
@@ -56,10 +57,6 @@ void quantize_panel(const std::int16_t* coeffs,
       levels[b * 64 + i] = static_cast<std::int16_t>(c >= 0 ? q : -q);
     }
   }
-}
-
-std::int32_t dequantize(std::int16_t level, std::uint16_t q, const num::UMulFn& umul) {
-  return static_cast<std::int32_t>(num::signed_mul(q, level, umul));
 }
 
 void dequantize_panel(const std::int16_t* levels,

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <climits>
 #include <cmath>
-#include <cstdlib>
 
 #include "realm/multiplier.hpp"
 
@@ -17,15 +16,6 @@ namespace {
 constexpr std::size_t kBlock = 512;
 
 }  // namespace
-
-std::int64_t signed_mul(std::int64_t a, std::int64_t b, const UMulFn& umul) {
-  assert(a != INT64_MIN && b != INT64_MIN && "signed_mul: |INT64_MIN| overflows");
-  const bool neg = (a < 0) != (b < 0);
-  const auto ua = static_cast<std::uint64_t>(a < 0 ? -a : a);
-  const auto ub = static_cast<std::uint64_t>(b < 0 ? -b : b);
-  const auto p = static_cast<std::int64_t>(umul(ua, ub));
-  return neg ? -p : p;
-}
 
 void signed_mul_batch(const std::int64_t* a, const std::int64_t* b, std::int64_t* out,
                       std::size_t n, const Multiplier& mul) {
@@ -67,15 +57,6 @@ void signed_row_batch(std::int64_t a_fixed, const std::int64_t* b, std::int64_t*
       out[i0 + i] = (b[i0 + i] < 0) != a_neg ? -p : p;
     }
   }
-}
-
-std::int32_t fx_mul(std::int32_t a, std::int32_t b, int frac_bits, const UMulFn& umul) {
-  assert(frac_bits >= 0 && frac_bits < 32);
-  const std::int64_t p = signed_mul(a, b, umul);
-  // Arithmetic shift of the magnitude: truncation toward zero matches a
-  // hardware right-shift of the unsigned product before sign re-application.
-  const std::int64_t q = (p < 0) ? -((-p) >> frac_bits) : (p >> frac_bits);
-  return static_cast<std::int32_t>(q);
 }
 
 std::int32_t to_fx(double v, int frac_bits) {

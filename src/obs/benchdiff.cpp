@@ -1,6 +1,7 @@
 #include "realm/obs/benchdiff.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -38,6 +39,16 @@ bool is_bucket_quantized(const std::string& key) {
     if (ends_with(key, suffix)) return true;
   }
   return false;
+}
+
+/// A 1-thread VM and a multi-core host measure different machines; no
+/// tolerance makes their numbers comparable.
+void require_same_threads(const Record& a, const Record& b) {
+  if (a.hw_threads != b.hw_threads) {
+    throw std::runtime_error("hw_threads mismatch: " + std::to_string(a.hw_threads) +
+                             " vs " + std::to_string(b.hw_threads) +
+                             " (records from different hosts are not comparable)");
+  }
 }
 
 }  // namespace
@@ -78,9 +89,17 @@ Record parse_record(const std::string& text) {
       r.host = value;
     } else if (key == "utc") {
       r.utc = value;
+    } else if (key == "hw_threads") {
+      char* end = nullptr;
+      const long n = std::strtol(value.c_str(), &end, 10);
+      if (end == value.c_str() || *end != '\0' || n < 0 || n > INT_MAX) {
+        throw std::runtime_error("history record line " + std::to_string(lineno) +
+                                 ": malformed hw_threads '" + value + "'");
+      }
+      r.hw_threads = static_cast<int>(n);
     }
-    // Unknown stamp keys (hw_threads, future additions) are ignored: the
-    // record format may grow without breaking old benchdiff binaries.
+    // Unknown stamp keys (future additions) are ignored: the record format
+    // may grow without breaking old benchdiff binaries.
   }
   if (schema != "realm-history-v1") {
     throw std::runtime_error("history record has schema '" + schema +
@@ -137,6 +156,7 @@ std::vector<const Delta*> DiffReport::regressions() const {
 
 DiffReport diff(const Record& baseline, const Record& current,
                 const Tolerances& tol) {
+  require_same_threads(baseline, current);
   DiffReport report;
   std::set<std::string> keys;
   for (const auto& [k, v] : baseline.values) keys.insert(k);
@@ -204,12 +224,14 @@ Record median_record(const std::vector<Record>& history) {
   // ISO-8601), so reports name the latest baseline conditions.
   const Record* newest = &history.front();
   for (const Record& r : history) {
+    require_same_threads(history.front(), r);
     if (r.utc > newest->utc) newest = &r;
   }
   out.bench = newest->bench;
   out.commit = newest->commit;
   out.host = newest->host;
   out.utc = newest->utc;
+  out.hw_threads = newest->hw_threads;
 
   std::set<std::string> keys;
   for (const Record& r : history) {

@@ -1,8 +1,8 @@
 // Bit-identity contract of the batched application engine (DESIGN.md §12):
-// the panel DCT/IDCT, the batched codec, the batched MLP matvec and the
-// batched FIR/Sobel filters must reproduce their scalar reference paths
-// exactly — same bytes, same pixels, same predictions — for every
-// multiplier design and every thread count.
+// the panel DCT/IDCT, the codec, the MLP matvec and the FIR/Sobel filters
+// must reproduce their scalar twins in tests/oracle exactly — same bytes,
+// same pixels, same predictions — for every multiplier design and every
+// thread count.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "oracle/oracle.hpp"
 #include "realm/dsp/filter.hpp"
 #include "realm/jpeg/codec.hpp"
 #include "realm/jpeg/dct.hpp"
@@ -21,6 +22,7 @@
 #include "realm/multiplier.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/nn/mlp.hpp"
+#include "realm/numeric/fixed_point.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/obs/counters.hpp"
 
@@ -46,13 +48,12 @@ TEST(AppBatch, PanelFdctMatchesScalarReference) {
   const auto blocks = random_blocks(67, 0x5EED);
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
     std::vector<std::int16_t> panel_out(blocks.size());
     jpeg::fdct_panel(blocks.data(), panel_out.data(), 67, *mul);
     for (std::size_t b = 0; b < 67; ++b) {
       std::array<std::int16_t, 64> in{}, ref{};
       for (std::size_t i = 0; i < 64; ++i) in[i] = blocks[b * 64 + i];
-      jpeg::fdct8x8(in, ref, f);
+      oracle::fdct8x8(in, ref, *mul);
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(panel_out[b * 64 + i], ref[i]) << spec << " block=" << b << " i=" << i;
       }
@@ -64,19 +65,17 @@ TEST(AppBatch, PanelIdctMatchesScalarReference) {
   // Realistic coefficients: forward-transform random pixel blocks first.
   const auto pixels = random_blocks(33, 0xD1C7);
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
-  const auto f = mul->as_function();
   std::vector<std::int16_t> coeffs(pixels.size());
   jpeg::fdct_panel(pixels.data(), coeffs.data(), 33, *mul);
 
   for (const auto& spec : kSpecs) {
     const auto m = mult::make_multiplier(spec, 16);
-    const auto mf = m->as_function();
     std::vector<std::int16_t> panel_out(coeffs.size());
     jpeg::idct_panel(coeffs.data(), panel_out.data(), 33, *m);
     for (std::size_t b = 0; b < 33; ++b) {
       std::array<std::int16_t, 64> in{}, ref{};
       for (std::size_t i = 0; i < 64; ++i) in[i] = coeffs[b * 64 + i];
-      jpeg::idct8x8(in, ref, mf);
+      oracle::idct8x8(in, ref, *m);
       for (std::size_t i = 0; i < 64; ++i) {
         ASSERT_EQ(panel_out[b * 64 + i], ref[i]) << spec << " block=" << b << " i=" << i;
       }
@@ -131,14 +130,13 @@ TEST(AppBatch, DequantizePanelMatchesScalar) {
       ASSERT_EQ(out[b * 64 + i], num::sat_signed(p, 16));
     }
   }
-  // Approximate path: scalar dequantize with the same design, q first.
+  // Approximate path: the oracle's scalar dequantize, q first.
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
     jpeg::dequantize_panel(levels.data(), qtable, out.data(), 9, mul.get());
     for (std::size_t b = 0; b < 9; ++b) {
       for (std::size_t i = 0; i < 64; ++i) {
-        const std::int32_t ref = jpeg::dequantize(levels[b * 64 + i], qtable[i], f);
+        const std::int32_t ref = oracle::dequantize(levels[b * 64 + i], qtable[i], *mul);
         ASSERT_EQ(out[b * 64 + i], num::sat_signed(ref, 16)) << spec;
       }
     }
@@ -149,11 +147,8 @@ TEST(AppBatch, JpegBatchedEngineBitIdenticalAcrossSpecsAndThreads) {
   const auto img = jpeg::synthetic_cameraman(64);
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
-    jpeg::CodecOptions ref_opts;
-    ref_opts.quality = 50;
-    ref_opts.umul = mul->as_function();
-    const auto c_ref = jpeg::encode(img, ref_opts);
-    const auto d_ref = jpeg::decode(c_ref, ref_opts);
+    const auto c_ref = oracle::jpeg_encode(img, 50, *mul);
+    const auto d_ref = oracle::jpeg_decode(c_ref, *mul);
     const double psnr_ref = jpeg::psnr(img, d_ref);
 
     for (const int threads : kThreadCounts) {
@@ -174,14 +169,12 @@ TEST(AppBatch, JpegBatchedEngineBitIdenticalAcrossSpecsAndThreads) {
 TEST(AppBatch, JpegBatchedApproximateDequantMatchesReference) {
   const auto img = jpeg::synthetic_cameraman(64);
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
-  jpeg::CodecOptions ref_opts;
-  ref_opts.quality = 50;
-  ref_opts.umul = mul->as_function();
-  ref_opts.approximate_dequant = true;
-  const auto c = jpeg::encode(img, ref_opts);
-  const auto d_ref = jpeg::decode(c, ref_opts);
+  const auto c = oracle::jpeg_encode(img, 50, *mul);
+  const auto d_ref = oracle::jpeg_decode(c, *mul, /*approximate_dequant=*/true);
   for (const int threads : kThreadCounts) {
-    jpeg::CodecOptions opts = ref_opts;
+    jpeg::CodecOptions opts;
+    opts.quality = 50;
+    opts.approximate_dequant = true;
     opts.mul = mul.get();
     opts.threads = threads;
     const auto d = jpeg::decode(c, opts);
@@ -197,31 +190,30 @@ TEST(AppBatch, MlpBatchMatchesScalarPredictions) {
   const auto qnet = net.quantize(8);
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
-    const auto pred = nn::predict_fixed_batch(qnet, test.x, *mul);
+    const auto pred = nn::predict_fixed(qnet, test.x, *mul);
     ASSERT_EQ(pred.size(), test.x.size());
     for (std::size_t i = 0; i < test.x.size(); ++i) {
-      ASSERT_EQ(pred[i], nn::predict_fixed(qnet, test.x[i], f)) << spec << " i=" << i;
+      ASSERT_EQ(pred[i], oracle::predict_fixed(qnet, test.x[i], *mul))
+          << spec << " i=" << i;
     }
-    EXPECT_DOUBLE_EQ(nn::accuracy_fixed_batch(qnet, test, *mul),
-                     nn::accuracy_fixed(qnet, test, f))
+    EXPECT_DOUBLE_EQ(nn::accuracy_fixed(qnet, test, *mul),
+                     oracle::accuracy_fixed(qnet, test, *mul))
         << spec;
   }
   // Empty batch is a no-op.
   const auto mul = mult::make_multiplier("accurate", 16);
-  EXPECT_TRUE(nn::predict_fixed_batch(qnet, {}, *mul).empty());
+  EXPECT_TRUE(nn::predict_fixed(qnet, {}, *mul).empty());
 }
 
 TEST(AppBatch, FilterBatchMatchesScalarPixels) {
   const auto img = jpeg::synthetic_cameraman(48);
   for (const auto& spec : kSpecs) {
     const auto mul = mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
-    const auto blur_s = dsp::gaussian_blur(img, 1.5, f);
-    const auto blur_b = dsp::gaussian_blur_batch(img, 1.5, *mul);
+    const auto blur_s = oracle::gaussian_blur(img, 1.5, *mul);
+    const auto blur_b = dsp::gaussian_blur(img, 1.5, *mul);
     EXPECT_EQ(blur_b.pixels(), blur_s.pixels()) << spec;
-    const auto sob_s = dsp::sobel(img, f);
-    const auto sob_b = dsp::sobel_batch(img, *mul);
+    const auto sob_s = oracle::sobel(img, *mul);
+    const auto sob_b = dsp::sobel(img, *mul);
     EXPECT_EQ(sob_b.pixels(), sob_s.pixels()) << spec;
   }
 }
@@ -243,12 +235,12 @@ TEST(AppBatch, BatchedPathsIncrementTheirCounters) {
   const auto qnet = net.quantize(8);
   const auto xs = nn::make_two_moons(10, 0.25, 0x33).x;
   const auto nn0 = obs::counter_value(obs::Counter::kNnMacsBatched);
-  (void)nn::predict_fixed_batch(qnet, xs, *mul);
+  (void)nn::predict_fixed(qnet, xs, *mul);
   // (2*4 + 4*2) MACs per sample, 10 samples.
   EXPECT_EQ(obs::counter_value(obs::Counter::kNnMacsBatched), nn0 + 160);
 
   const auto dsp0 = obs::counter_value(obs::Counter::kDspTapsBatched);
-  (void)dsp::sobel_batch(img, *mul);
+  (void)dsp::sobel(img, *mul);
   // 12 nonzero Sobel taps (6 per gradient) x 32 pixels/row x 32 rows.
   EXPECT_EQ(obs::counter_value(obs::Counter::kDspTapsBatched), dsp0 + 12 * 32 * 32);
 }

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "realm/obs/benchdiff.hpp"
@@ -53,6 +54,7 @@ TEST(BenchdiffParse, RoundTripsMetricsSinkHistoryRecord) {
   const bd::Record r = bd::parse_record(sink.history_record());
   EXPECT_EQ(r.bench, "round_trip");
   EXPECT_EQ(r.host, obs::run_host());
+  EXPECT_EQ(r.hw_threads, static_cast<int>(std::thread::hardware_concurrency()));
   ASSERT_EQ(r.values.count("metric.speedup_1t"), 1u);
   EXPECT_EQ(r.values.at("metric.speedup_1t"), 5.25);
   // Hex-float serialization is bit-exact even for non-terminating decimals.
@@ -242,6 +244,31 @@ TEST(BenchdiffMedian, StampComesFromNewestRecord) {
   EXPECT_EQ(med.utc, "2026-08-08T00:00:00Z");
   EXPECT_EQ(med.commit, "newer");
   EXPECT_EQ(med.values.at("metric.speedup_1t"), 1.0);  // lower middle of {1, 2}
+}
+
+TEST(BenchdiffThreads, MismatchedHwThreadsAreRefused) {
+  const bd::Record one = make_record("hw_threads=1\nmetric.speedup_1t=0x1p+0\n");
+  const bd::Record four = make_record("hw_threads=4\nmetric.speedup_1t=0x1p+0\n");
+  EXPECT_EQ(one.hw_threads, 1);
+  EXPECT_EQ(four.hw_threads, 4);
+  EXPECT_THROW((void)bd::diff(one, four, bd::Tolerances{}), std::runtime_error);
+  EXPECT_THROW((void)bd::median_record({four, one, four}), std::runtime_error);
+  // An unstamped record is not a wildcard.
+  const bd::Record unstamped = make_record("metric.speedup_1t=0x1p+0\n");
+  EXPECT_EQ(unstamped.hw_threads, 0);
+  EXPECT_THROW((void)bd::diff(unstamped, four, bd::Tolerances{}), std::runtime_error);
+  EXPECT_THROW((void)make_record("hw_threads=four\n"), std::runtime_error);
+  EXPECT_THROW((void)make_record("hw_threads=-1\n"), std::runtime_error);
+}
+
+TEST(BenchdiffThreads, SameHwThreadsCompare) {
+  const bd::Record base = make_record("hw_threads=4\nmetric.speedup_1t=0x1p+1\n");
+  const bd::Record slow = make_record("hw_threads=4\nmetric.speedup_1t=0x1p+0\n");
+  EXPECT_TRUE(bd::diff(base, slow, bd::Tolerances{}).regressed);
+  EXPECT_FALSE(bd::diff(base, base, bd::Tolerances{}).regressed);
+  const bd::Record med = bd::median_record({base, slow, base});
+  EXPECT_EQ(med.hw_threads, 4);
+  EXPECT_EQ(med.values.at("metric.speedup_1t"), 2.0);
 }
 
 }  // namespace

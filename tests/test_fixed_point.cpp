@@ -4,16 +4,30 @@
 
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "oracle/oracle.hpp"
 #include "realm/multiplier.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/numeric/rng.hpp"
 
 namespace num = realm::num;
+namespace oracle = realm::oracle;
 
 namespace {
-const num::UMulFn kExact = [](std::uint64_t a, std::uint64_t b) { return a * b; };
+
+// Exact product that counts how often the scalar entry point is called.
+class CountingMultiplier final : public realm::Multiplier {
+ public:
+  std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override {
+    ++calls;
+    return a * b;
+  }
+  std::string name() const override { return "counting"; }
+  int width() const override { return 16; }
+  mutable int calls = 0;
+};
 
 // Signed operands whose magnitudes span the multipliers' full 16-bit
 // datapath (the designs assert their operands fit the configured width).
@@ -26,31 +40,27 @@ std::vector<std::int64_t> random_operands(std::size_t n, std::uint64_t seed) {
 }  // namespace
 
 TEST(FixedPoint, SignedMulSignGrid) {
-  EXPECT_EQ(num::signed_mul(3, 4, kExact), 12);
-  EXPECT_EQ(num::signed_mul(-3, 4, kExact), -12);
-  EXPECT_EQ(num::signed_mul(3, -4, kExact), -12);
-  EXPECT_EQ(num::signed_mul(-3, -4, kExact), 12);
-  EXPECT_EQ(num::signed_mul(0, -4, kExact), 0);
+  EXPECT_EQ(oracle::signed_mul(3, 4, oracle::exact()), 12);
+  EXPECT_EQ(oracle::signed_mul(-3, 4, oracle::exact()), -12);
+  EXPECT_EQ(oracle::signed_mul(3, -4, oracle::exact()), -12);
+  EXPECT_EQ(oracle::signed_mul(-3, -4, oracle::exact()), 12);
+  EXPECT_EQ(oracle::signed_mul(0, -4, oracle::exact()), 0);
 }
 
 TEST(FixedPoint, SignedMulRoutesThroughProvidedMultiplier) {
-  int calls = 0;
-  const num::UMulFn counting = [&](std::uint64_t a, std::uint64_t b) {
-    ++calls;
-    return a * b;
-  };
-  EXPECT_EQ(num::signed_mul(-5, 6, counting), -30);
-  EXPECT_EQ(calls, 1);
+  const CountingMultiplier counting;
+  EXPECT_EQ(oracle::signed_mul(-5, 6, counting), -30);
+  EXPECT_EQ(counting.calls, 1);
 }
 
 TEST(FixedPoint, FxMulTruncatesTowardZero) {
   // 1.5 * 1.5 = 2.25 -> 2.25 in Q8 = 576; check truncation on negatives.
   const std::int32_t a = num::to_fx(1.5, 8);
-  EXPECT_EQ(num::fx_mul(a, a, 8, kExact), num::to_fx(2.25, 8));
+  EXPECT_EQ(oracle::fx_mul(a, a, 8, oracle::exact()), num::to_fx(2.25, 8));
   const std::int32_t m = num::to_fx(-1.5, 8);
-  EXPECT_EQ(num::fx_mul(m, a, 8, kExact), -num::to_fx(2.25, 8));
+  EXPECT_EQ(oracle::fx_mul(m, a, 8, oracle::exact()), -num::to_fx(2.25, 8));
   // (-3) * 1 with 1 fraction bit: -3/2 * 1/2 = -0.75 -> truncates to -0.5 raw -1.
-  EXPECT_EQ(num::fx_mul(-3, 1, 1, kExact), -1);
+  EXPECT_EQ(oracle::fx_mul(-3, 1, 1, oracle::exact()), -1);
 }
 
 TEST(FixedPoint, ToFromFxRoundTrip) {
@@ -75,11 +85,10 @@ TEST(FixedPoint, SignedMulBatchMatchesScalarLoop) {
   const auto b = random_operands(600, 0xB);
   for (const char* spec : {"accurate", "realm:m=16,t=8", "mitchell", "drum:k=6"}) {
     const auto mul = realm::mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
     std::vector<std::int64_t> out(a.size());
     num::signed_mul_batch(a.data(), b.data(), out.data(), a.size(), *mul);
     for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(out[i], num::signed_mul(a[i], b[i], f)) << spec << " i=" << i;
+      ASSERT_EQ(out[i], oracle::signed_mul(a[i], b[i], *mul)) << spec << " i=" << i;
     }
   }
 }
@@ -88,12 +97,12 @@ TEST(FixedPoint, SignedRowBatchMatchesScalarLoop) {
   const auto b = random_operands(600, 0xC);
   for (const char* spec : {"accurate", "realm:m=16,t=8", "mbm:t=0"}) {
     const auto mul = realm::mult::make_multiplier(spec, 16);
-    const auto f = mul->as_function();
     for (const std::int64_t a : {std::int64_t{-37}, std::int64_t{0}, std::int64_t{41}}) {
       std::vector<std::int64_t> out(b.size());
       num::signed_row_batch(a, b.data(), out.data(), b.size(), *mul);
       for (std::size_t i = 0; i < b.size(); ++i) {
-        ASSERT_EQ(out[i], num::signed_mul(a, b[i], f)) << spec << " a=" << a << " i=" << i;
+        ASSERT_EQ(out[i], oracle::signed_mul(a, b[i], *mul))
+            << spec << " a=" << a << " i=" << i;
       }
     }
   }
@@ -101,7 +110,6 @@ TEST(FixedPoint, SignedRowBatchMatchesScalarLoop) {
 
 TEST(FixedPoint, BatchHandlesEmptyAndOddLengths) {
   const auto mul = realm::mult::make_multiplier("realm:m=16,t=8", 16);
-  const auto f = mul->as_function();
   num::signed_mul_batch(nullptr, nullptr, nullptr, 0, *mul);  // n = 0 is a no-op
   num::signed_row_batch(7, nullptr, nullptr, 0, *mul);
   for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{513}}) {
@@ -110,7 +118,7 @@ TEST(FixedPoint, BatchHandlesEmptyAndOddLengths) {
     std::vector<std::int64_t> out(n);
     num::signed_mul_batch(a.data(), b.data(), out.data(), n, *mul);
     for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], num::signed_mul(a[i], b[i], f)) << "n=" << n << " i=" << i;
+      ASSERT_EQ(out[i], oracle::signed_mul(a[i], b[i], *mul)) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -119,7 +127,7 @@ TEST(FixedPoint, BatchHandlesEmptyAndOddLengths) {
 TEST(FixedPointDeathTest, SignedMulRejectsInt64MinInDebug) {
   // |INT64_MIN| is not representable: the magnitude-domain precondition.
   const std::int64_t lo = std::numeric_limits<std::int64_t>::min();
-  EXPECT_DEATH((void)num::signed_mul(lo, 1, kExact), "INT64_MIN");
-  EXPECT_DEATH((void)num::signed_mul(1, lo, kExact), "INT64_MIN");
+  EXPECT_DEATH((void)oracle::signed_mul(lo, 1, oracle::exact()), "INT64_MIN");
+  EXPECT_DEATH((void)oracle::signed_mul(1, lo, oracle::exact()), "INT64_MIN");
 }
 #endif

@@ -4,11 +4,13 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "realm/core/error_analysis.hpp"
 #include "realm/error/render.hpp"
+#include "realm/numeric/fixed_point.hpp"
 #include "realm/numeric/rng.hpp"
 #include "realm/realm.hpp"
 
@@ -82,7 +84,7 @@ TEST(Integration, JpegFileRoundTripThroughDisk) {
   const jpeg::Image loaded = jpeg::read_pgm(in_path.string());
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
   jpeg::CodecOptions opts;
-  opts.umul = mul->as_function();
+  opts.mul = mul.get();
   const jpeg::Image rec = jpeg::roundtrip(loaded, opts);
   jpeg::write_pgm(rec, out_path.string());
 
@@ -106,16 +108,19 @@ TEST(Integration, CostModelAndTimingAgreeOnWhoIsSmallAndFast) {
 }
 
 TEST(Integration, SignedFlowFixedPointDctMatchesAdapterSemantics) {
-  // The JPEG datapath's sign handling (num::signed_mul) must agree with the
-  // SignedMultiplier adapter on the same core.
+  // The application datapath's sign handling (num::signed_mul_batch) must
+  // agree with the SignedMultiplier adapter on the same core.
   const auto core_mul = mult::make_multiplier("realm:m=8,t=4", 16);
   const auto adapter = mult::make_signed_multiplier("realm:m=8,t=4", 16);
-  const auto f = core_mul->as_function();
   num::Xoshiro256 rng{0x516};
-  for (int it = 0; it < 20000; ++it) {
-    const auto a = static_cast<std::int64_t>(rng.below(4000)) - 2000;
-    const auto b = static_cast<std::int64_t>(rng.below(4000)) - 2000;
-    ASSERT_EQ(num::signed_mul(a, b, f), adapter.multiply(a, b));
+  std::vector<std::int64_t> a(20000), b(20000), out(20000);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = static_cast<std::int64_t>(rng.below(4000)) - 2000;
+    b[i] = static_cast<std::int64_t>(rng.below(4000)) - 2000;
+  }
+  num::signed_mul_batch(a.data(), b.data(), out.data(), a.size(), *core_mul);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(out[i], adapter.multiply(a[i], b[i])) << a[i] << " * " << b[i];
   }
 }
 

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "oracle/oracle.hpp"
 #include "realm/jpeg/dct.hpp"
 #include "realm/jpeg/huffman.hpp"
 #include "realm/jpeg/quality.hpp"
 #include "realm/jpeg/quant.hpp"
 #include "realm/jpeg/synthetic.hpp"
+#include "realm/multiplier.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/numeric/rng.hpp"
 
@@ -18,8 +20,12 @@ using namespace realm;
 namespace jp = realm::jpeg;
 
 namespace {
-const num::UMulFn kExact = [](std::uint64_t a, std::uint64_t b) { return a * b; };
+jp::CodecOptions exact_opts() {
+  jp::CodecOptions o;
+  o.mul = &oracle::exact();
+  return o;
 }
+}  // namespace
 
 TEST(Image, PgmRoundTrip) {
   jp::Image img{16, 8};
@@ -60,7 +66,7 @@ TEST(Dct, MatrixIsOrthonormalInQ12) {
 TEST(Dct, ConstantBlockConcentratesInDc) {
   std::array<std::int16_t, 64> block{}, out{};
   block.fill(100);
-  jp::fdct8x8(block, out, kExact);
+  jp::fdct_panel(block.data(), out.data(), 1, oracle::exact());
   EXPECT_NEAR(out[0], 800, 2);  // DC = 8·mean
   for (int i = 1; i < 64; ++i) EXPECT_NEAR(out[static_cast<std::size_t>(i)], 0, 2);
 }
@@ -71,8 +77,8 @@ TEST(Dct, ForwardInverseRoundTripIsTight) {
   for (int trial = 0; trial < 200; ++trial) {
     std::array<std::int16_t, 64> in{}, co{}, out{};
     for (auto& v : in) v = static_cast<std::int16_t>(rng.below(256)) - 128;
-    jp::fdct8x8(in, co, kExact);
-    jp::idct8x8(co, out, kExact);
+    jp::fdct_panel(in.data(), co.data(), 1, oracle::exact());
+    jp::idct_panel(co.data(), out.data(), 1, oracle::exact());
     for (int i = 0; i < 64; ++i) {
       worst = std::max(worst, std::fabs(static_cast<double>(out[static_cast<std::size_t>(i)] -
                                                             in[static_cast<std::size_t>(i)])));
@@ -90,8 +96,8 @@ TEST(Dct, ForwardInverseRoundTripRmsIsSmall) {
   for (int trial = 0; trial < 200; ++trial) {
     std::array<std::int16_t, 64> in{}, co{}, out{};
     for (auto& v : in) v = static_cast<std::int16_t>(rng.below(256)) - 128;
-    jp::fdct8x8(in, co, kExact);
-    jp::idct8x8(co, out, kExact);
+    jp::fdct_panel(in.data(), co.data(), 1, oracle::exact());
+    jp::idct_panel(co.data(), out.data(), 1, oracle::exact());
     for (int i = 0; i < 64; ++i) {
       const double d = out[static_cast<std::size_t>(i)] - in[static_cast<std::size_t>(i)];
       err2 += d * d;
@@ -193,52 +199,63 @@ TEST(Huffman, SingleSymbolAlphabet) {
   EXPECT_THROW(code.encode(w, 0), std::invalid_argument);
 }
 
+TEST(Huffman, FromLengthsRejectsLengthsAbove16) {
+  // Lengths come from the stream header; the decode tables stop at 16.
+  EXPECT_THROW((void)jp::HuffmanCode::from_lengths({1, 200}), std::invalid_argument);
+  EXPECT_THROW((void)jp::HuffmanCode::from_lengths({1, 17}), std::invalid_argument);
+  EXPECT_NO_THROW((void)jp::HuffmanCode::from_lengths({1, 16}));
+}
+
 TEST(Codec, ExactMultiplierRoundTripIsHighQuality) {
   const jp::Image img = jp::synthetic_lena(128);
-  jp::CodecOptions opts;  // exact multiplier
-  const jp::Image rec = jp::roundtrip(img, opts);
+  const jp::Image rec = jp::roundtrip(img, exact_opts());
   EXPECT_GT(jp::psnr(img, rec), 33.0);
 }
 
 TEST(Codec, BitstreamIsActuallyCompressed) {
   const jp::Image img = jp::synthetic_livingroom(128);
-  const auto c = jp::encode(img, {});
+  const auto c = jp::encode(img, exact_opts());
   EXPECT_LT(c.size_bytes(), img.pixels().size() / 2);
   EXPECT_GT(c.size_bytes(), 100u);
 }
 
 TEST(Codec, DecodeIsDeterministic) {
   const jp::Image img = jp::synthetic_cameraman(64);
-  const auto c = jp::encode(img, {});
-  const jp::Image a = jp::decode(c, {});
-  const jp::Image b = jp::decode(c, {});
+  const auto c = jp::encode(img, exact_opts());
+  const jp::Image a = jp::decode(c, exact_opts());
+  const jp::Image b = jp::decode(c, exact_opts());
   EXPECT_EQ(a.pixels(), b.pixels());
 }
 
 TEST(Codec, RequiresMultipleOf8Dimensions) {
   const jp::Image img{12, 8};
+  EXPECT_THROW((void)jp::encode(img, exact_opts()), std::invalid_argument);
+}
+
+TEST(Codec, RequiresAMultiplier) {
+  const jp::Image img = jp::synthetic_cameraman(16);
   EXPECT_THROW((void)jp::encode(img, {}), std::invalid_argument);
+  const auto c = jp::encode(img, exact_opts());
+  EXPECT_THROW((void)jp::decode(c, {}), std::invalid_argument);
 }
 
 TEST(Codec, RealmTracksAccurateWithinOneDb) {
   const jp::Image img = jp::synthetic_lena(128);
-  jp::CodecOptions exact_opts;
-  const double ref = jp::psnr(img, jp::roundtrip(img, exact_opts));
+  const double ref = jp::psnr(img, jp::roundtrip(img, exact_opts()));
 
   const auto mul = mult::make_multiplier("realm:m=16,t=8", 16);
   jp::CodecOptions opts;
-  opts.umul = mul->as_function();
+  opts.mul = mul.get();
   const double got = jp::psnr(img, jp::roundtrip(img, opts));
   EXPECT_GT(got, ref - 1.2);
 }
 
 TEST(Codec, CalmDegradesQualityMarkedly) {
   const jp::Image img = jp::synthetic_lena(128);
-  jp::CodecOptions exact_opts;
-  const double ref = jp::psnr(img, jp::roundtrip(img, exact_opts));
+  const double ref = jp::psnr(img, jp::roundtrip(img, exact_opts()));
   const auto mul = mult::make_multiplier("calm", 16);
   jp::CodecOptions opts;
-  opts.umul = mul->as_function();
+  opts.mul = mul.get();
   EXPECT_LT(jp::psnr(img, jp::roundtrip(img, opts)), ref - 2.0);
 }
 
@@ -271,7 +288,7 @@ TEST(Quality, PsnrProperties) {
 
 TEST(Bitstream, SerializeRoundTrips) {
   const jp::Image img = jp::synthetic_cameraman(64);
-  const auto c = jp::encode(img, {});
+  const auto c = jp::encode(img, exact_opts());
   const auto blob = jp::serialize(c);
   const auto back = jp::deserialize(blob);
   EXPECT_EQ(back.width, c.width);
@@ -281,16 +298,18 @@ TEST(Bitstream, SerializeRoundTrips) {
   EXPECT_EQ(back.dc_code_lengths, c.dc_code_lengths);
   EXPECT_EQ(back.ac_code_lengths, c.ac_code_lengths);
   // Decoding the deserialized stream reproduces the image bit-for-bit.
-  EXPECT_EQ(jp::decode(back, {}).pixels(), jp::decode(c, {}).pixels());
+  EXPECT_EQ(jp::decode(back, exact_opts()).pixels(),
+            jp::decode(c, exact_opts()).pixels());
 }
 
 TEST(Bitstream, FileRoundTripAndValidation) {
   const jp::Image img = jp::synthetic_lena(64);
-  const auto c = jp::encode(img, {});
+  const auto c = jp::encode(img, exact_opts());
   const auto path = std::filesystem::temp_directory_path() / "realm_stream.rjpg";
   jp::write_compressed(c, path.string());
   const auto back = jp::read_compressed(path.string());
-  EXPECT_EQ(jp::decode(back, {}).pixels(), jp::decode(c, {}).pixels());
+  EXPECT_EQ(jp::decode(back, exact_opts()).pixels(),
+            jp::decode(c, exact_opts()).pixels());
   std::filesystem::remove(path);
 
   // Corruption is rejected loudly.
@@ -301,4 +320,38 @@ TEST(Bitstream, FileRoundTripAndValidation) {
   truncated.resize(truncated.size() / 2);
   EXPECT_THROW((void)jp::deserialize(truncated), std::runtime_error);
   EXPECT_THROW((void)jp::deserialize({}), std::runtime_error);
+}
+
+TEST(Bitstream, RejectsHuffmanTablesOfTheWrongSize) {
+  const auto c = jp::encode(jp::synthetic_cameraman(64), exact_opts());
+  ASSERT_EQ(c.dc_code_lengths.size(), 16u);
+  ASSERT_EQ(c.ac_code_lengths.size(), 256u);
+  // A DC table past 16 entries would let a decoded category shift by up to
+  // 255 bits.
+  auto long_dc = c;
+  long_dc.dc_code_lengths.push_back(1);
+  EXPECT_THROW((void)jp::deserialize(jp::serialize(long_dc)), std::runtime_error);
+  auto short_ac = c;
+  short_ac.ac_code_lengths.pop_back();
+  EXPECT_THROW((void)jp::deserialize(jp::serialize(short_ac)), std::runtime_error);
+}
+
+TEST(Bitstream, RejectsADeclaredSizeThePayloadCannotHold) {
+  // A 301-byte blob declaring 32768x32768 (16M blocks, at least 4 MB of
+  // payload) must fail in deserialize, before decode sizes its buffers.
+  jp::Compressed forged;
+  forged.width = 32768;
+  forged.height = 32768;
+  forged.dc_code_lengths.assign(16, 4);
+  forged.ac_code_lengths.assign(256, 8);
+  forged.payload.assign(1, 0);
+  const auto blob = jp::serialize(forged);
+  EXPECT_EQ(blob.size(), 301u);
+  EXPECT_THROW((void)jp::deserialize(blob), std::runtime_error);
+  // Two bits per block is the floor: 4 blocks fit in one payload byte.
+  forged.width = 32;
+  forged.height = 8;
+  EXPECT_NO_THROW((void)jp::deserialize(jp::serialize(forged)));
+  forged.width = 40;
+  EXPECT_THROW((void)jp::deserialize(jp::serialize(forged)), std::runtime_error);
 }

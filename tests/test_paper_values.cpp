@@ -8,6 +8,7 @@
 // EXPERIMENTS.md records the absolute comparison.
 
 #include <cctype>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -40,6 +41,10 @@ constexpr PaperRow kLogFamilyRows[] = {
     {"mbm:t=9", -0.38, 2.70, -10.19, 10.94, 11.33},
     {"implm", -0.04, 2.89, -11.11, 11.11, 14.70},
 };
+
+// gtest's default printer dumps the row's raw bytes, spec pointer included,
+// so the discovered ctest names would change with every address-space layout.
+void PrintTo(const PaperRow& row, std::ostream* os) { *os << row.spec; }
 
 class PaperErrorRowTest : public ::testing::TestWithParam<PaperRow> {};
 

@@ -19,7 +19,8 @@
 //   --verbose            print every compared key, not just regressions
 //
 // Exit codes: 0 = no regression (including "no usable history yet"),
-// 1 = regression detected, 2 = usage or I/O error.  Direction and
+// 1 = regression detected, 2 = usage or I/O error, or records stamped with
+// different hw_threads (never comparable).  Direction and
 // NaN/missing semantics live in realm/obs/benchdiff.hpp.
 
 #include <algorithm>
@@ -179,7 +180,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const bd::DiffReport report = bd::diff(baseline, current, tol);
+  bd::DiffReport report;
+  try {
+    report = bd::diff(baseline, current, tol);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "FAIL %s\n", e.what());
+    return 2;
+  }
   std::printf("benchdiff: %s\n  baseline: %s (commit %s)\n  current:  %s (commit %s)\n",
               current.bench.c_str(), baseline_desc.c_str(), baseline.commit.c_str(),
               current.utc.c_str(), current.commit.c_str());
