@@ -16,7 +16,7 @@
 //     u32 payload_len
 //     u64 checksum    FNV-1a 64 over LE(key_len) . LE(payload_len) . key . payload
 //
-// Durability contract: put() appends one record, flushes and fsyncs before
+// Durability contract: put() appends one record and fsyncs it before
 // returning — a crash (including SIGKILL) after put() returns can never lose
 // that record.  A crash *during* put() leaves a torn tail: open() scans the
 // journal, keeps every record that parses and checksums, and — in read-write
@@ -27,7 +27,25 @@
 //
 // Re-putting a key appends a superseding record (latest wins on replay);
 // compact() drops superseded duplicates by atomically rewriting the journal
-// (temp file + rename).  All operations are thread-safe within a process.
+// (temp file + rename).
+//
+// Concurrency contract (all operations are thread-safe within a process):
+//   * Readers never wait on file I/O.  get/contains/size/keys/stats take a
+//     shared lock on the index alone; the journal has its own mutex, held
+//     by every append, fsync, rollback and compaction.  A reader waits at
+//     most for one index insert, never for a write or an fsync.
+//   * A record is visible only after its fsync: put() encodes the record
+//     outside any lock, writes and fsyncs it under the journal mutex, and
+//     only then takes the index lock exclusively to publish it.  Publishing
+//     under the journal mutex keeps index order equal to journal order.
+//   * A failed append is rolled back: on a short write or a failed fsync the
+//     journal is truncated to its last good end and put() throws, leaving
+//     the index untouched (counted as store_append_failures).  If that
+//     truncation fails too, the store turns read-only: later put()s throw
+//     instead of appending after garbage, which replay would otherwise
+//     truncate away together with every later record.
+//   * compact() blocks appends but not readers while it writes the temp
+//     journal; it takes the index lock exclusively only to reset stats.
 
 #pragma once
 
@@ -35,6 +53,7 @@
 #include <cstdio>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -69,8 +88,9 @@ class ResultStore {
   /// or miss (obs counters) per call.
   [[nodiscard]] std::optional<std::string> get(const std::string& key);
 
-  /// Durably appends (key, payload); returns once the record is fsync'd.
-  /// Throws std::runtime_error on I/O failure or a read-only store.
+  /// Durably appends (key, payload); returns once the record is fsync'd and
+  /// visible to get().  Throws std::runtime_error on I/O failure (the record
+  /// is rolled back) or on a read-only store.
   void put(const std::string& key, const std::string& payload);
 
   /// Index lookup without touching the hit/miss counters.
@@ -83,6 +103,8 @@ class ResultStore {
   [[nodiscard]] std::vector<std::string> keys() const;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  /// The mode the store was opened in.  A failed rollback refuses later
+  /// put()s without changing it.
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
   struct Stats {
@@ -107,16 +129,23 @@ class ResultStore {
     std::uint64_t order = 0;  ///< first-seen sequence for stable listings
   };
 
-  void replay_journal_locked();
-  void append_record_locked(const std::string& key, const std::string& payload);
+  void replay_journal();
+  void require_writable_locked(const char* op) const;
+  void append_record_locked(const std::string& record);
 
   std::string path_;
   Mode mode_;
+  // Journal state, guarded by io_mu_.  Appends go to the descriptor at
+  // end_, the journal's last good end; replay reads through the stream.
   std::FILE* file_ = nullptr;
+  std::uint64_t end_ = 0;
+  std::string read_only_reason_;  ///< set when a rollback failed
+  std::mutex io_mu_;
+  // Index state, guarded by mu_ (shared for readers).
   std::unordered_map<std::string, Entry> index_;
   std::uint64_t next_order_ = 0;
   Stats stats_;
-  mutable std::mutex mu_;
+  mutable std::shared_mutex mu_;
 };
 
 }  // namespace realm::campaign

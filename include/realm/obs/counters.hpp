@@ -67,6 +67,9 @@
 //   kSloRecords         finished requests folded into an SLO window bucket
 //   kSloRotations       SLO buckets recycled to a new second (claim/publish
 //                       rotations won; at most one per second per window)
+//   kStoreAppendFailures    campaign-store appends that failed (short write
+//                       or fsync error) and were rolled back or, if the
+//                       rollback failed too, turned the store read-only
 
 #pragma once
 
@@ -114,6 +117,7 @@ enum class Counter : unsigned {
   kNetClientTimeouts,
   kSloRecords,
   kSloRotations,
+  kStoreAppendFailures,
   kCount
 };
 

@@ -1,6 +1,7 @@
 #include "realm/campaign/result_store.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
@@ -9,9 +10,7 @@
 #include "realm/obs/counters.hpp"
 #include "realm/obs/histogram.hpp"
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 namespace realm::campaign {
 
@@ -70,15 +69,44 @@ void put_le64(unsigned char* p, std::uint64_t v) noexcept {
   return h;
 }
 
+/// Encodes one record (header, key, payload) into `out`, replacing its
+/// contents.
+void encode_record(std::string& out, std::string_view key, std::string_view payload) {
+  unsigned char header[kRecordHeaderBytes];
+  put_le32(header, kRecordMagic);
+  put_le32(header + 4, static_cast<std::uint32_t>(key.size()));
+  put_le32(header + 8, static_cast<std::uint32_t>(payload.size()));
+  put_le64(header + 12, record_checksum(key, payload));
+  out.clear();
+  out.reserve(kRecordHeaderBytes + key.size() + payload.size());
+  out.append(reinterpret_cast<const char*>(header), kRecordHeaderBytes);
+  out.append(key);
+  out.append(payload);
+}
+
 void fsync_file(std::FILE* f, const std::string& path) {
   if (std::fflush(f) != 0) {
     throw std::runtime_error("result store: flush failed for " + path);
   }
-#ifndef _WIN32
   if (::fsync(::fileno(f)) != 0) {
     throw std::runtime_error("result store: fsync failed for " + path);
   }
-#endif
+}
+
+/// Writes all of `bytes` at `offset`, retrying short writes; false (errno
+/// set) on the first write that fails or makes no progress.
+[[nodiscard]] bool write_all(int fd, std::string_view bytes, std::uint64_t offset) noexcept {
+  while (!bytes.empty()) {
+    const ssize_t n = ::pwrite(fd, bytes.data(), bytes.size(), static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = EIO;
+      return false;
+    }
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -108,7 +136,7 @@ ResultStore::ResultStore(std::string path, Mode mode)
       fs::create_directories(parent, ec);  // best effort; fopen reports failure
     }
     // "a+b" creates the journal if missing and never truncates an existing
-    // one; reads and the append position are managed per-operation.
+    // one; appends are positioned explicitly at end_.
     file_ = std::fopen(path_.c_str(), "a+b");
   } else {
     file_ = std::fopen(path_.c_str(), "rb");
@@ -116,9 +144,8 @@ ResultStore::ResultStore(std::string path, Mode mode)
   if (file_ == nullptr) {
     throw std::runtime_error("result store: cannot open " + path_);
   }
-  std::lock_guard<std::mutex> lock{mu_};
   try {
-    replay_journal_locked();
+    replay_journal();
   } catch (...) {
     std::fclose(file_);
     file_ = nullptr;
@@ -130,7 +157,8 @@ ResultStore::~ResultStore() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-void ResultStore::replay_journal_locked() {
+// Runs in the constructor, before the store is shared, so it takes no lock.
+void ResultStore::replay_journal() {
   std::fseek(file_, 0, SEEK_END);
   const long end_long = std::ftell(file_);
   const std::uint64_t file_size = end_long > 0 ? static_cast<std::uint64_t>(end_long) : 0;
@@ -143,6 +171,7 @@ void ResultStore::replay_journal_locked() {
       }
       fsync_file(file_, path_);
       stats_.bytes_on_open = sizeof kFileMagic;
+      end_ = sizeof kFileMagic;
     }
     return;
   }
@@ -159,11 +188,9 @@ void ResultStore::replay_journal_locked() {
     }
     if (mode_ == Mode::kReadWrite) {
       // Torn header from a crash during creation: restart the journal.
-#ifndef _WIN32
       if (::ftruncate(::fileno(file_), 0) != 0) {
         throw std::runtime_error("result store: cannot truncate " + path_);
       }
-#endif
       std::fseek(file_, 0, SEEK_SET);
       if (std::fwrite(kFileMagic, 1, sizeof kFileMagic, file_) != sizeof kFileMagic) {
         throw std::runtime_error("result store: cannot write header to " + path_);
@@ -172,6 +199,7 @@ void ResultStore::replay_journal_locked() {
       stats_.torn_bytes_dropped = file_size;
     }
     stats_.bytes_on_open = sizeof kFileMagic;
+    end_ = sizeof kFileMagic;
     return;
   }
 
@@ -212,18 +240,15 @@ void ResultStore::replay_journal_locked() {
   obs::counter_add(obs::Counter::kStoreBytesRead, good_end);
 
   if (stats_.torn_bytes_dropped > 0 && mode_ == Mode::kReadWrite) {
-#ifndef _WIN32
     if (::ftruncate(::fileno(file_), static_cast<off_t>(good_end)) != 0) {
       throw std::runtime_error("result store: cannot truncate torn tail of " + path_);
     }
-#endif
   }
-  // Leave the stream positioned at the recovered end for appends.
-  std::fseek(file_, static_cast<long>(good_end), SEEK_SET);
+  end_ = good_end;
 }
 
 std::optional<std::string> ResultStore::get(const std::string& key) {
-  std::lock_guard<std::mutex> lock{mu_};
+  std::shared_lock<std::shared_mutex> lock{mu_};
   const auto it = index_.find(key);
   if (it == index_.end()) {
     obs::counter_add(obs::Counter::kStoreMisses, 1);
@@ -235,52 +260,78 @@ std::optional<std::string> ResultStore::get(const std::string& key) {
 
 void ResultStore::put(const std::string& key, const std::string& payload) {
   if (key.empty()) throw std::runtime_error("result store: empty key");
-  std::lock_guard<std::mutex> lock{mu_};
-  if (mode_ != Mode::kReadWrite) {
-    throw std::runtime_error("result store: put() on read-only store " + path_);
-  }
-  append_record_locked(key, payload);
+  // Everything that allocates happens before the locks.
+  std::string record;
+  encode_record(record, key, payload);
+  std::string published = payload;
+
+  std::lock_guard<std::mutex> io{io_mu_};
+  require_writable_locked("put()");
+  append_record_locked(record);
+  // Publishing under io_mu_ keeps the index in journal order, so a re-put
+  // key can never show an older payload than the one replay would pick.
+  std::unique_lock<std::shared_mutex> lock{mu_};
   auto [it, inserted] = index_.try_emplace(key);
   if (inserted) it->second.order = next_order_++;
-  it->second.payload = payload;
+  it->second.payload = std::move(published);
+  ++stats_.records_appended;
+  stats_.bytes_appended += record.size();
 }
 
-void ResultStore::append_record_locked(const std::string& key,
-                                       const std::string& payload) {
-  unsigned char header[kRecordHeaderBytes];
-  put_le32(header, kRecordMagic);
-  put_le32(header + 4, static_cast<std::uint32_t>(key.size()));
-  put_le32(header + 8, static_cast<std::uint32_t>(payload.size()));
-  put_le64(header + 12, record_checksum(key, payload));
-  std::fseek(file_, 0, SEEK_END);
-  if (std::fwrite(header, 1, kRecordHeaderBytes, file_) != kRecordHeaderBytes ||
-      std::fwrite(key.data(), 1, key.size(), file_) != key.size() ||
-      (!payload.empty() &&
-       std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size())) {
-    throw std::runtime_error("result store: append failed for " + path_);
+void ResultStore::require_writable_locked(const char* op) const {
+  if (mode_ != Mode::kReadWrite) {
+    throw std::runtime_error(std::string{"result store: "} + op +
+                             " on read-only store " + path_);
   }
-  fsync_file(file_, path_);
-  const std::uint64_t bytes = kRecordHeaderBytes + key.size() + payload.size();
-  ++stats_.records_appended;
-  stats_.bytes_appended += bytes;
-  obs::counter_add(obs::Counter::kStoreBytesWritten, bytes);
+  if (!read_only_reason_.empty()) {
+    throw std::runtime_error(std::string{"result store: "} + op + " on " + path_ +
+                             ", read-only since " + read_only_reason_);
+  }
+}
+
+void ResultStore::append_record_locked(const std::string& record) {
+  const int fd = ::fileno(file_);
+  const char* failed = nullptr;
+  if (!write_all(fd, record, end_)) {
+    failed = "append";
+  } else if (::fsync(fd) != 0) {
+    failed = "fsync";
+  }
+  if (failed != nullptr) {
+    const int err = errno;
+    const std::string what = std::string{failed} + " failed (" + std::strerror(err) + ")";
+    obs::counter_add(obs::Counter::kStoreAppendFailures, 1);
+    // Cut the partial record off so the next append starts at a record
+    // boundary; the index never saw it.
+    if (::ftruncate(fd, static_cast<off_t>(end_)) != 0) {
+      const int rollback_err = errno;
+      read_only_reason_ =
+          what + " and its rollback failed (" + std::strerror(rollback_err) + ")";
+      throw std::runtime_error("result store: " + path_ + ": " + read_only_reason_ +
+                               "; the store is now read-only");
+    }
+    throw std::runtime_error("result store: " + path_ + ": " + what +
+                             "; record rolled back");
+  }
+  end_ += record.size();
+  obs::counter_add(obs::Counter::kStoreBytesWritten, record.size());
   // Record-size distribution: an outlier payload (schema drift, a runaway
   // histogram dump) shows up in the p99 long before it fills the journal.
-  obs::value_hist_record(obs::ValueHist::kStoreRecordBytes, bytes);
+  obs::value_hist_record(obs::ValueHist::kStoreRecordBytes, record.size());
 }
 
 bool ResultStore::contains(const std::string& key) const {
-  std::lock_guard<std::mutex> lock{mu_};
+  std::shared_lock<std::shared_mutex> lock{mu_};
   return index_.count(key) != 0;
 }
 
 std::size_t ResultStore::size() const {
-  std::lock_guard<std::mutex> lock{mu_};
+  std::shared_lock<std::shared_mutex> lock{mu_};
   return index_.size();
 }
 
 std::vector<std::string> ResultStore::keys() const {
-  std::lock_guard<std::mutex> lock{mu_};
+  std::shared_lock<std::shared_mutex> lock{mu_};
   std::vector<const std::pair<const std::string, Entry>*> live;
   live.reserve(index_.size());
   for (const auto& kv : index_) live.push_back(&kv);
@@ -293,31 +344,31 @@ std::vector<std::string> ResultStore::keys() const {
 }
 
 ResultStore::Stats ResultStore::stats() const {
-  std::lock_guard<std::mutex> lock{mu_};
+  std::shared_lock<std::shared_mutex> lock{mu_};
   Stats s = stats_;
   s.records_live = index_.size();
   return s;
 }
 
 std::uint64_t ResultStore::compact() {
-  std::lock_guard<std::mutex> lock{mu_};
-  if (mode_ != Mode::kReadWrite) {
-    throw std::runtime_error("result store: compact() on read-only store " + path_);
-  }
-  const std::uint64_t total =
-      stats_.records_replayed + stats_.records_appended;
-  const std::uint64_t dropped =
-      total > index_.size() ? total - index_.size() : 0;
-
+  // io_mu_ stops appends, and with them publishes, for the whole rewrite;
+  // readers share mu_ with the rewrite until the stats reset.
+  std::lock_guard<std::mutex> io{io_mu_};
+  require_writable_locked("compact()");
   const std::string tmp_path = path_ + ".compact.tmp";
   std::FILE* tmp = std::fopen(tmp_path.c_str(), "wb");
   if (tmp == nullptr) {
     throw std::runtime_error("result store: cannot create " + tmp_path);
   }
+  std::uint64_t dropped = 0;
+  std::uint64_t bytes = sizeof kFileMagic;
   try {
     if (std::fwrite(kFileMagic, 1, sizeof kFileMagic, tmp) != sizeof kFileMagic) {
       throw std::runtime_error("result store: cannot write header to " + tmp_path);
     }
+    std::shared_lock<std::shared_mutex> lock{mu_};
+    const std::uint64_t total = stats_.records_replayed + stats_.records_appended;
+    dropped = total > index_.size() ? total - index_.size() : 0;
     // Stable first-seen order keeps listings and replay deterministic.
     std::vector<const std::pair<const std::string, Entry>*> live;
     live.reserve(index_.size());
@@ -325,46 +376,39 @@ std::uint64_t ResultStore::compact() {
     std::sort(live.begin(), live.end(), [](const auto* a, const auto* b) {
       return a->second.order < b->second.order;
     });
+    std::string record;
     for (const auto* kv : live) {
-      const std::string& key = kv->first;
-      const std::string& payload = kv->second.payload;
-      unsigned char header[kRecordHeaderBytes];
-      put_le32(header, kRecordMagic);
-      put_le32(header + 4, static_cast<std::uint32_t>(key.size()));
-      put_le32(header + 8, static_cast<std::uint32_t>(payload.size()));
-      put_le64(header + 12, record_checksum(key, payload));
-      if (std::fwrite(header, 1, kRecordHeaderBytes, tmp) != kRecordHeaderBytes ||
-          std::fwrite(key.data(), 1, key.size(), tmp) != key.size() ||
-          (!payload.empty() &&
-           std::fwrite(payload.data(), 1, payload.size(), tmp) != payload.size())) {
+      encode_record(record, kv->first, kv->second.payload);
+      if (std::fwrite(record.data(), 1, record.size(), tmp) != record.size()) {
         throw std::runtime_error("result store: compact write failed for " + tmp_path);
       }
+      bytes += record.size();
     }
+    lock.unlock();
     fsync_file(tmp, tmp_path);
   } catch (...) {
     std::fclose(tmp);
     std::remove(tmp_path.c_str());
     throw;
   }
-  std::fclose(tmp);
 
-  std::fclose(file_);
-  file_ = nullptr;
   std::error_code ec;
   std::filesystem::rename(tmp_path, path_, ec);
   if (ec) {
+    // The original journal is untouched and still open: the store stays
+    // usable as it was.
+    std::fclose(tmp);
     std::remove(tmp_path.c_str());
-    // Reopen the original journal so the store stays usable.
-    file_ = std::fopen(path_.c_str(), "a+b");
     throw std::runtime_error("result store: rename failed for " + tmp_path + ": " +
                              ec.message());
   }
-  file_ = std::fopen(path_.c_str(), "a+b");
-  if (file_ == nullptr) {
-    throw std::runtime_error("result store: cannot reopen " + path_ + " after compact");
-  }
-  std::fseek(file_, 0, SEEK_END);
+  // The renamed temp file is the journal now.  Keeping its stream instead
+  // of reopening the path leaves no window without a journal to append to.
+  std::fclose(file_);
+  file_ = tmp;
+  end_ = bytes;
   // Replayed/appended tallies now describe the compacted journal.
+  std::unique_lock<std::shared_mutex> lock{mu_};
   stats_.records_replayed = index_.size();
   stats_.records_appended = 0;
   stats_.bytes_appended = 0;

@@ -53,6 +53,7 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kNetClientTimeouts: return "net_client_timeouts";
     case Counter::kSloRecords: return "slo_records";
     case Counter::kSloRotations: return "slo_rotations";
+    case Counter::kStoreAppendFailures: return "store_append_failures";
     case Counter::kCount: break;
   }
   return "unknown";

@@ -3,9 +3,15 @@
 // resumable runner.  The crash-recovery fuzz loop is the load-bearing test:
 // it truncates a journal at *every* byte offset of the final record and
 // asserts open() always recovers every prior record without crashing.
+// Readers beside writers, a real short write (RLIMIT_FSIZE) and a failed
+// rollback (seccomp) cover the store's concurrency and append-failure
+// contract; the faults are provoked in forked children, not by hooks.
 
 #include "realm/campaign/result_store.hpp"
 
+#include <atomic>
+#include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -13,9 +19,17 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/resource.h>
 #include <unistd.h>
+#ifdef __linux__
+#include <linux/filter.h>
+#include <linux/seccomp.h>
+#include <sys/prctl.h>
+#include <sys/syscall.h>
+#endif
 
 #include <gtest/gtest.h>
 
@@ -59,6 +73,36 @@ class TempStorePath {
 void write_file(const std::string& path, const std::string& bytes) {
   std::ofstream out{path, std::ios::binary | std::ios::trunc};
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Death-test child check: report `what` and exit 1 unless `ok`.
+void child_require(bool ok, const char* what) {
+  if (!ok) {
+    std::fprintf(stderr, "child check failed: %s\n", what);
+    std::_Exit(1);
+  }
+}
+
+/// Runs in a death-test child.  Lowers RLIMIT_FSIZE to 30 bytes past the
+/// journal's end, with SIGXFSZ ignored, so the kernel writes 30 bytes of the
+/// next record and fails the rest with EFBIG: a real short write, no hook
+/// in the store.  Returns put()'s error message ("" if it did not throw)
+/// after restoring the limit.
+std::string put_past_file_size_limit(ResultStore& store, const std::string& key) {
+  std::signal(SIGXFSZ, SIG_IGN);
+  rlimit saved{};
+  child_require(::getrlimit(RLIMIT_FSIZE, &saved) == 0, "getrlimit");
+  rlimit low = saved;
+  low.rlim_cur = static_cast<rlim_t>(fs::file_size(store.path()) + 30);
+  child_require(::setrlimit(RLIMIT_FSIZE, &low) == 0, "lower RLIMIT_FSIZE");
+  std::string error;
+  try {
+    store.put(key, std::string(100, 'x'));
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  child_require(::setrlimit(RLIMIT_FSIZE, &saved) == 0, "restore RLIMIT_FSIZE");
+  return error;
 }
 
 }  // namespace
@@ -211,6 +255,165 @@ TEST(ResultStore, TornHeaderOnCreationRestartsJournal) {
   ResultStore reopened{tmp.str(), ResultStore::Mode::kReadOnly};
   EXPECT_EQ(*reopened.get("k"), "v");
 }
+
+// Readers never wait on journal I/O.  The test counts instead of timing: a
+// reader that queued behind every put()'s fsync would complete about one
+// read per put or fewer, not ten.
+TEST(ResultStore, ReadersProgressBesideAWriter) {
+  TempStorePath tmp{"readers"};
+  { ResultStore seed{tmp.str()}; seed.put("warm", "replayed payload"); }
+  ResultStore store{tmp.str()};
+  constexpr std::uint64_t kPuts = 200;
+  std::atomic<bool> reader_started{false};
+  std::atomic<bool> writer_done{false};
+  std::uint64_t reads = 0;
+  bool all_hits = true;
+  std::thread reader([&] {
+    reader_started.store(true);
+    while (!writer_done.load()) {
+      const auto payload = store.get("warm");
+      all_hits = all_hits && payload && *payload == "replayed payload";
+      ++reads;
+    }
+  });
+  while (!reader_started.load()) std::this_thread::yield();
+  for (std::uint64_t i = 0; i < kPuts; ++i) {
+    store.put("cold-" + std::to_string(i), std::string(64, 'c'));
+  }
+  writer_done.store(true);
+  reader.join();
+  EXPECT_TRUE(all_hits);
+  EXPECT_GE(reads, 10 * kPuts) << reads << " reads beside " << kPuts << " puts";
+}
+
+TEST(ResultStore, ConcurrentWritersAndReadersKeepEveryRecord) {
+  TempStorePath tmp{"stress"};
+  constexpr int kWriters = 4;
+  constexpr int kKeysPerWriter = 200;
+  const auto key_of = [](int w, int i) {
+    std::string key = "w";  // appended piecewise: "w" + to_string(w) trips gcc 12's -Wrestrict
+    key += std::to_string(w);
+    key += "-k";
+    key += std::to_string(i);
+    return key;
+  };
+  const auto payload_of = [](const std::string& key) { return "payload of " + key; };
+  {
+    ResultStore store{tmp.str()};
+    std::atomic<int> writers_left{kWriters};
+    std::atomic<bool> wrong_payload{false};
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&, w] {
+        for (int i = 0; i < kKeysPerWriter; ++i) {
+          const std::string key = key_of(w, i);
+          store.put(key, payload_of(key));
+        }
+        writers_left.fetch_sub(1);
+      });
+    }
+    for (int r = 0; r < 2; ++r) {
+      threads.emplace_back([&, r] {
+        for (int i = r; writers_left.load() > 0; ++i) {
+          const std::string key = key_of(i % kWriters, i % kKeysPerWriter);
+          // A visible record is a complete one.
+          const auto payload = store.get(key);
+          if (payload && *payload != payload_of(key)) wrong_payload.store(true);
+          (void)store.stats();
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_FALSE(wrong_payload.load());
+    EXPECT_EQ(store.stats().records_appended, 800u);
+  }
+  ResultStore reopened{tmp.str(), ResultStore::Mode::kReadOnly};
+  EXPECT_EQ(reopened.size(), 800u);
+  EXPECT_EQ(reopened.stats().torn_bytes_dropped, 0u);
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kKeysPerWriter; ++i) {
+      const std::string key = key_of(w, i);
+      const auto payload = reopened.get(key);
+      ASSERT_TRUE(payload.has_value()) << key;
+      EXPECT_EQ(*payload, payload_of(key));
+    }
+  }
+}
+
+// A short write is rolled back: the store stays appendable, and a reopen
+// replays every record but the failed one with no torn bytes.  Without the
+// rollback, the next put lands after the partial record and replay drops it.
+TEST(ResultStore, ShortWriteIsRolledBackAndLaterPutsSurviveReopen) {
+  TempStorePath tmp{"shortwrite"};
+  const auto child = [&tmp] {
+    ResultStore store{tmp.str()};
+    store.put("before", "kept");
+    const std::uintmax_t good_end = fs::file_size(tmp.str());
+    const std::uint64_t failures0 =
+        obs::counter_value(obs::Counter::kStoreAppendFailures);
+    const std::string error = put_past_file_size_limit(store, "failed");
+    child_require(!error.empty(), "put() throws");
+    child_require(obs::counter_value(obs::Counter::kStoreAppendFailures) == failures0 + 1,
+                  "store_append_failures counts the failure");
+    child_require(!store.contains("failed"), "the failed record is not published");
+    child_require(fs::file_size(tmp.str()) == good_end, "journal cut back to its good end");
+    store.put("after-1", "a1");
+    store.put("after-2", "a2");
+
+    ResultStore reopened{tmp.str(), ResultStore::Mode::kReadOnly};
+    child_require(reopened.keys() == std::vector<std::string>{"before", "after-1", "after-2"},
+                  "reopen replays every record but the failed one");
+    child_require(reopened.stats().torn_bytes_dropped == 0, "no torn bytes");
+    child_require(*reopened.get("after-2") == "a2", "later payloads intact");
+    std::fprintf(stderr, "short write rolled back\n");
+    std::_Exit(0);
+  };
+  EXPECT_EXIT(child(), ::testing::ExitedWithCode(0), "short write rolled back");
+}
+
+#ifdef __linux__
+// When the rollback fails too, the store turns read-only instead of
+// appending after the partial record.  A seccomp filter in the child makes
+// ftruncate fail with EIO.
+TEST(ResultStore, FailedRollbackTurnsTheStoreReadOnly) {
+  TempStorePath tmp{"rollbackfail"};
+  const auto child = [&tmp] {
+    ResultStore store{tmp.str()};
+    store.put("before", "kept");
+    sock_filter filter[] = {
+        BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(seccomp_data, nr)),
+        BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, __NR_ftruncate, 0, 1),
+        BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ERRNO | EIO),
+        BPF_STMT(BPF_RET | BPF_K, SECCOMP_RET_ALLOW),
+    };
+    sock_fprog program{static_cast<unsigned short>(std::size(filter)), filter};
+    child_require(::prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) == 0, "no_new_privs");
+    child_require(::prctl(PR_SET_SECCOMP, SECCOMP_MODE_FILTER, &program) == 0,
+                  "install the ftruncate filter");
+
+    const std::string error = put_past_file_size_limit(store, "failed");
+    child_require(!error.empty(), "put() throws");
+    std::string later;
+    try {
+      store.put("later", "never appended");
+    } catch (const std::runtime_error& e) {
+      later = e.what();
+    }
+    child_require(later.find("read-only") != std::string::npos,
+                  "later puts are refused");
+    child_require(store.get("before") == std::optional<std::string>{"kept"},
+                  "reads still work");
+
+    ResultStore reopened{tmp.str(), ResultStore::Mode::kReadOnly};
+    child_require(reopened.keys() == std::vector<std::string>{"before"},
+                  "nothing was appended after the partial record");
+    child_require(reopened.stats().torn_bytes_dropped == 30, "the partial record is the tail");
+    std::fprintf(stderr, "store turned read-only\n");
+    std::_Exit(0);
+  };
+  EXPECT_EXIT(child(), ::testing::ExitedWithCode(0), "store turned read-only");
+}
+#endif
 
 TEST(ResultStore, ContentHashIsStableAndCollisionSafeByFullKey) {
   EXPECT_EQ(campaign::content_hash_hex("").size(), 16u);

@@ -90,6 +90,7 @@ EXPECTED_COUNTERS = [
     "net_client_timeouts",
     "slo_records",
     "slo_rotations",
+    "store_append_failures",
 ]
 
 EXPECTED_GAUGES = ["pool_workers", "pool_active_workers", "pool_queue_depth"]
