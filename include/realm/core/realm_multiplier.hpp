@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "realm/core/lut.hpp"
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::core {
 
@@ -43,7 +43,35 @@ struct RealmConfig {
   [[nodiscard]] int fraction_bits() const noexcept { return n - 1 - t; }
 };
 
-class RealmMultiplier final : public Multiplier {
+/// REALM's half of the generated batched kernels (realm/datapath_multiplier.hpp):
+/// multiply() restructured branchless, every constant in a 64-bit lane.
+struct RealmDatapath {
+  struct Row {
+    std::uint64_t xf;       ///< fixed operand's truncated log fraction
+    std::uint64_t lut_off;  ///< first LUT entry of its segment row
+    std::int64_t dbase;     ///< ka - f, the fixed half of the final shift
+  };
+  std::uint64_t w, t, f;           ///< shifter width n-1, truncated LSBs, kept width
+  std::uint64_t fmask, one_f, one_w;
+  std::uint64_t sel, sel_shift;    ///< log2(M); fraction -> segment-select shift
+  const std::uint64_t* lut;        ///< pre-aligned c_of = 0 entries (see batch_lut_)
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const;
+  [[gnu::always_inline]] inline std::uint64_t apply(const Row& row, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(const Row& row, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+};
+
+}  // namespace realm::core
+
+namespace realm {
+extern template class DatapathMultiplier<core::RealmDatapath>;
+}  // namespace realm
+
+namespace realm::core {
+
+class RealmMultiplier final : public DatapathMultiplier<RealmDatapath> {
  public:
   /// Builds the multiplier, deriving and quantizing the LUT.  Throws
   /// std::invalid_argument for configurations the hardware cannot realize
@@ -51,28 +79,6 @@ class RealmMultiplier final : public Multiplier {
   explicit RealmMultiplier(RealmConfig cfg);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-
-  /// Devirtualized batch kernel: one virtual dispatch per block instead of
-  /// per product, with f, t, the LUT pointer and all shift amounts hoisted
-  /// out of the loop.  Bit-identical to multiply() per element.
-  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* out, std::size_t n) const override;
-
-  /// Row-hoisted kernel: the fixed operand's leading-one position, truncated
-  /// log fraction and LUT segment row are computed once and kept in
-  /// registers, so the loop body carries only the variable operand's half of
-  /// the datapath.  Bit-identical to multiply() per element.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
-
-  /// Row kernel for ascending contiguous columns (the exhaustive engine's
-  /// inner loop).  Splits [b0, b0+n) at the powers of two: within a segment
-  /// the variable operand's characteristic k_b is constant, so the LOD
-  /// disappears, the normalize shift is fixed, and the final barrel shift
-  /// collapses to two constant shift pairs selected by the fraction carry.
-  /// Bit-identical to multiply() per element.
-  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                          std::uint64_t* out, std::size_t n) const override;
 
   /// Product clamped to the usual 2N-bit output bus.
   [[nodiscard]] std::uint64_t multiply_saturated(std::uint64_t a, std::uint64_t b) const;
@@ -90,12 +96,13 @@ class RealmMultiplier final : public Multiplier {
   RealmConfig cfg_;
   std::shared_ptr<const SegmentLut> lut_;  // shared: tables are config-wide constants
 
-  // Batch-kernel view of the LUT: 64-bit entries pre-aligned to the f-bit
+  // Kernel view of the LUT: 64-bit entries pre-aligned to the f-bit
   // fraction for the c_of = 0 case (s_ij << 1, then the |f-(q+1)| alignment
   // shift).  The c_of = 1 value is exactly entry >> 1 in both the widening
-  // and narrowing case, so the kernel's LUT step collapses to one load and
-  // one variable shift — and 64-bit entries let the loop vectorize.
-  std::vector<std::uint64_t> batch_lut_;
+  // and narrowing case, so the kernels' LUT step collapses to one load and
+  // one variable shift — and 64-bit entries let the loops vectorize.  Shared
+  // so that copies keep dp_.lut valid.
+  std::shared_ptr<const std::vector<std::uint64_t>> batch_lut_;
 };
 
 }  // namespace realm::core

@@ -5,6 +5,16 @@
 // (a, b) -> approximate product.  The virtual interface lets the error
 // harness, the JPEG application, and the design-space sweep treat REALM and
 // the ten baselines uniformly.
+//
+// The compute contract is one scalar reference plus three batched shapes:
+// multiply() is the readable, paper-faithful datapath; multiply_batch
+// (pairwise), multiply_row_batch (one fixed operand) and multiply_row_range
+// (one fixed operand, ascending contiguous columns) must each be
+// bit-identical to it.  The kernel families (REALM, cALM, MBM, DRUM, SSM,
+// ESSM, accurate) generate all three from a single prepare/apply/segment
+// definition through DatapathMultiplier (realm/datapath_multiplier.hpp).
+// Every other design inherits the defaults below: one direct loop over
+// multiply() each, with no entry point forwarding to another.
 
 #pragma once
 
@@ -34,61 +44,35 @@ class Multiplier {
   /// Element-wise product of two operand vectors: out[i] = multiply(a[i],
   /// b[i]) for i in [0, n).  The result must be bit-identical to n scalar
   /// multiply() calls — the error harness relies on that equivalence.
-  ///
-  /// The base implementation is a plain loop over the virtual multiply();
-  /// hot designs (REALM, Mitchell, the exact reference) override it with a
-  /// devirtualized kernel that hoists configuration-dependent constants out
-  /// of the loop, which is what makes the 2^24-sample Monte-Carlo
-  /// characterization runs cheap.  `out` may alias neither `a` nor `b`.
+  /// `out` may alias neither `a` nor `b`.
   virtual void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
                               std::uint64_t* out, std::size_t n) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a[i], b[i]);
   }
 
   /// Fixed-operand row product: out[i] = multiply(a_fixed, b[i]) for i in
-  /// [0, n), bit-identical to n scalar calls.  This is the exhaustive
-  /// characterization engine's shape — a full-space sweep holds one operand
-  /// constant per row — and hot designs override it with kernels that compute
-  /// the fixed operand's leading-one position, truncated log fraction and
-  /// segment row once per call and keep them in registers, removing half the
-  /// datapath (including the data-dependent LOD on the fixed side) from the
-  /// inner loop.
-  ///
-  /// The base implementation broadcasts a_fixed into a stack block and
-  /// forwards to multiply_batch, so designs with a devirtualized batch kernel
-  /// but no row kernel still vectorize; each forwarded block is counted in
-  /// obs::Counter::kRowFallbackBatches.  `out` may not alias `b`.
+  /// [0, n), bit-identical to n scalar calls.  This is the shape of the
+  /// exhaustive engine and of the application panels (one constant operand
+  /// per row); the kernel families compute the fixed operand's half of the
+  /// datapath once per call.  The default loop adds ceil(n / 1024) to
+  /// obs::Counter::kRowFallbackBatches so designs without a row kernel show
+  /// up in the metrics.  `out` may not alias `b`.
   virtual void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
                                   std::uint64_t* out, std::size_t n) const {
-    constexpr std::size_t kChunk = 1024;
-    std::uint64_t a_rep[kChunk];
-    const std::size_t fill = n < kChunk ? n : kChunk;
-    for (std::size_t i = 0; i < fill; ++i) a_rep[i] = a_fixed;
-    std::size_t batches = 0;
-    for (std::size_t i0 = 0; i0 < n; i0 += kChunk, ++batches) {
-      const std::size_t len = n - i0 < kChunk ? n - i0 : kChunk;
-      multiply_batch(a_rep, b + i0, out + i0, len);
-    }
-    obs::counter_add(obs::Counter::kRowFallbackBatches, batches);
+    for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a_fixed, b[i]);
+    obs::counter_add(obs::Counter::kRowFallbackBatches, fallback_batches(n));
   }
 
   /// Contiguous-column row product: out[i] = multiply(a_fixed, b0 + i) for
   /// i in [0, n), bit-identical to the scalar loop.  Exhaustive sweeps walk
   /// ascending column ranges, so the variable operand's leading-one position
-  /// is monotone over the range; overriding designs split [b0, b0+n) at the
-  /// powers of two and run a constant-shift kernel per segment, which removes
-  /// the remaining LOD and turns the final barrel shift into two fixed
-  /// shifts.  The base implementation materializes the range in stack chunks
-  /// and forwards to multiply_row_batch.  `out` must not overlap the range.
+  /// is constant over each power-of-two interval; the kernel families run a
+  /// constant-shift loop per interval.  The default loop counts like
+  /// multiply_row_batch.  `out` must not overlap the range.
   virtual void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
                                   std::uint64_t* out, std::size_t n) const {
-    constexpr std::size_t kChunk = 1024;
-    std::uint64_t b_iota[kChunk];
-    for (std::size_t i0 = 0; i0 < n; i0 += kChunk) {
-      const std::size_t len = n - i0 < kChunk ? n - i0 : kChunk;
-      for (std::size_t i = 0; i < len; ++i) b_iota[i] = b0 + i0 + i;
-      multiply_row_batch(a_fixed, b_iota, out + i0, len);
-    }
+    for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a_fixed, b0 + i);
+    obs::counter_add(obs::Counter::kRowFallbackBatches, fallback_batches(n));
   }
 
   /// Human-readable design name including its configuration,
@@ -97,6 +81,12 @@ class Multiplier {
 
   /// Operand width N in bits.
   [[nodiscard]] virtual int width() const = 0;
+
+ private:
+  /// Row-default calls are tallied in 1024-column blocks.
+  static constexpr std::uint64_t fallback_batches(std::size_t n) noexcept {
+    return (static_cast<std::uint64_t>(n) + 1023) / 1024;
+  }
 };
 
 }  // namespace realm

@@ -4,22 +4,39 @@
 
 #pragma once
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
-class AccurateMultiplier final : public Multiplier {
+/// The exact product as a datapath (realm/datapath_multiplier.hpp): one
+/// multiply per element, the fixed operand in a register.
+struct AccurateDatapath {
+  using Row = std::uint64_t;
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const { return a; }
+  [[gnu::always_inline]] inline std::uint64_t apply(Row a, std::uint64_t b) const {
+    return a * b;
+  }
+  [[gnu::always_inline]] inline void segment(Row a, int /*kb*/, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const {
+    for (std::size_t i = 0; i < n; ++i) out[i] = a * (b_first + i);
+  }
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::AccurateDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class AccurateMultiplier final : public DatapathMultiplier<AccurateDatapath> {
  public:
   explicit AccurateMultiplier(int n = 16);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* out, std::size_t n) const override;
-  /// Row kernels: one multiply per element, fixed operand in a register.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
-  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                          std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override { return "Accurate"; }
   [[nodiscard]] int width() const override { return n_; }
 

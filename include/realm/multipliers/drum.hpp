@@ -8,23 +8,39 @@
 
 #pragma once
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
-class DrumMultiplier final : public Multiplier {
+/// DRUM's half of the generated batched kernels (realm/datapath_multiplier.hpp).
+struct DrumDatapath {
+  struct Row {
+    std::uint64_t fa;  ///< fixed operand's k-bit fragment
+    std::uint64_t sa;  ///< its shift
+  };
+  std::uint64_t kth;  ///< k - 1: a fragment shift is needed when the leading one is above it
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const;
+  [[gnu::always_inline]] inline std::uint64_t apply(const Row& row, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(const Row& row, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::DrumDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class DrumMultiplier final : public DatapathMultiplier<DrumDatapath> {
  public:
   /// n: operand width; k: fragment width, 3 <= k <= n.
   DrumMultiplier(int n, int k);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Row-hoisted kernel: the fixed operand's fragment and shift computed once.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous-column kernel: constant fragment shift per
-  /// power-of-two interval, so the loop is one multiply and one fixed shift.
-  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                          std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
   [[nodiscard]] int k() const noexcept { return k_; }

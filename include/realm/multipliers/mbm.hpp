@@ -13,23 +13,39 @@
 
 #include <cstdint>
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
-class MbmMultiplier final : public Multiplier {
+/// MBM's half of the generated batched kernels (realm/datapath_multiplier.hpp).
+struct MbmDatapath {
+  struct Row {
+    std::uint64_t xf;    ///< fixed operand's truncated log fraction
+    std::int64_t dbase;  ///< ka - f
+  };
+  std::uint64_t w, t, f, fmask, one_w;
+  std::uint64_t base0, base1;  ///< (1 << f) + the aligned correction for c_of = 0 / 1
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const;
+  [[gnu::always_inline]] inline std::uint64_t apply(const Row& row, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(const Row& row, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::MbmDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class MbmMultiplier final : public DatapathMultiplier<MbmDatapath> {
  public:
   explicit MbmMultiplier(int n = 16, int t = 0, int q = 6);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  /// Row-hoisted kernel: ka, the fixed log fraction and both carry-selected
-  /// correction addends computed once per row.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous-column kernel (constant kb per power-of-two
-  /// interval; final shift as two constant shift pairs).
-  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                          std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 

@@ -7,26 +7,40 @@
 
 #pragma once
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
-class MitchellMultiplier final : public Multiplier {
+/// cALM's half of the generated batched kernels (realm/datapath_multiplier.hpp).
+struct MitchellDatapath {
+  struct Row {
+    std::uint64_t xf;    ///< fixed operand's truncated log fraction
+    std::int64_t dbase;  ///< ka - f
+  };
+  std::uint64_t w, t, f, fmask, one_f, one_w;
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const;
+  [[gnu::always_inline]] inline std::uint64_t apply(const Row& row, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(const Row& row, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::MitchellDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class MitchellMultiplier final : public DatapathMultiplier<MitchellDatapath> {
  public:
   /// n: operand width.  t: optional plain truncation of fraction LSBs
   /// (0 = the classical design; no rounding bit, unlike MBM/REALM).
   explicit MitchellMultiplier(int n = 16, int t = 0);
 
   [[nodiscard]] std::uint64_t multiply(std::uint64_t a, std::uint64_t b) const override;
-  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b,
-                      std::uint64_t* out, std::size_t n) const override;
-  /// Row-hoisted kernel: ka and the fixed log fraction computed once.
-  void multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                          std::uint64_t* out, std::size_t n) const override;
-  /// Segmented contiguous-column kernel: constant kb per power-of-two
-  /// interval, final shift collapsed to two constant shift pairs.
-  void multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                          std::uint64_t* out, std::size_t n) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 

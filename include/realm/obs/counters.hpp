@@ -43,9 +43,9 @@
 //   kExhaustiveRows     rows with fixed-operand work hoisted by the tiled
 //                       exhaustive engine (one per multiply_row_range row)
 //   kExhaustiveTiles    row×column tiles executed by the exhaustive engine
-//   kRowFallbackBatches multiply_row_batch blocks served by the generic
-//                       broadcast-into-multiply_batch fallback (designs
-//                       without a row-hoisted kernel)
+//   kRowFallbackBatches 1024-column blocks of multiply_row_batch /
+//                       multiply_row_range served by the base-class loop
+//                       over multiply() (designs without a row kernel)
 //   kDctBlocksBatched   8x8 blocks transformed by the panel DCT/IDCT engine
 //                       (forward + inverse; counted once per panel call)
 //   kNnMacsBatched      fixed-point MLP MACs issued through the batched

@@ -1,76 +1,48 @@
 #include "realm/multipliers/mbm.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "realm/core/segment_factors.hpp"
 #include "realm/numeric/bits.hpp"
-#include "realm/numeric/simd.hpp"
 
 namespace realm::mult {
-namespace {
 
-// Row-hoisted kernel: the fixed operand's fraction xf and both
-// carry-selected significand bases (1 << f plus the aligned correction for
-// c_of = 0 / 1) are scalar parameters — the loop carries the b-side LOD
-// chain, one add, a blend and the final shift.
-REALM_MULTIVERSION
-void mbm_row_batch_kernel(const std::uint64_t* __restrict b,
-                          std::uint64_t* __restrict out, std::size_t n,
-                          std::uint64_t w, std::uint64_t t, std::uint64_t f,
-                          std::uint64_t fmask, std::uint64_t one_w,
-                          std::uint64_t xf, std::uint64_t base0,
-                          std::uint64_t base1, std::int64_t dbase) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t b0 = b[idx];
-    const std::uint64_t bv = b0 | static_cast<std::uint64_t>(b0 == 0);
-    const auto kb = 63u - static_cast<std::uint64_t>(std::countl_zero(bv));
-    const std::uint64_t yf = (((bv << (w - kb)) ^ one_w) >> t) | 1u;
+// Branchless form of multiply() (see MitchellDatapath for the normalize
+// step); the correction constant folds into the two carry-selected
+// significand bases base0/base1.
 
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
-    const std::uint64_t frac = fsum & fmask;
-
-    const std::uint64_t significand = ((c_of != 0) ? base1 : base0) + frac;
-    const auto d = dbase + static_cast<std::int64_t>(kb + c_of);
-    const std::uint64_t shl = significand << (static_cast<std::uint64_t>(d) & 63u);
-    const std::uint64_t shr = significand >> (static_cast<std::uint64_t>(-d) & 63u);
-    const std::uint64_t val = (d >= 0) ? shl : shr;
-    out[idx] = (b0 != 0) ? val : 0;
-  }
+MbmDatapath::Row MbmDatapath::prepare(std::uint64_t a) const {
+  const std::uint64_t ka = datapath::leading_one(a);
+  return {(((a << (w - ka)) ^ one_w) >> t) | 1u,
+          static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(f)};
 }
 
-// Contiguous-column segment with constant kb: both carry cases are computed
-// with constant shift pairs and blended on the fraction carry.
-REALM_MULTIVERSION
-void mbm_row_segment_kernel(std::uint64_t b_first, std::uint64_t* __restrict out,
-                            std::size_t n, std::uint64_t norm_shift,
-                            std::uint64_t t, std::uint64_t f, std::uint64_t fmask,
-                            std::uint64_t one_w, std::uint64_t xf,
-                            std::uint64_t base0, std::uint64_t base1,
-                            std::uint64_t shl0, std::uint64_t shr0,
-                            std::uint64_t shl1, std::uint64_t shr1) {
-  for (std::size_t idx = 0; idx < n; ++idx) {
-    const std::uint64_t bb = b_first + idx;
-    const std::uint64_t yf = (((bb << norm_shift) ^ one_w) >> t) | 1u;
-    const std::uint64_t fsum = xf + yf;
-    const std::uint64_t c_of = fsum >> f;
+std::uint64_t MbmDatapath::apply(const Row& row, std::uint64_t b) const {
+  const std::uint64_t kb = datapath::leading_one(b);
+  const std::uint64_t fsum = row.xf + ((((b << (w - kb)) ^ one_w) >> t) | 1u);
+  const std::uint64_t c_of = fsum >> f;
+  const std::uint64_t significand = ((c_of != 0) ? base1 : base0) + (fsum & fmask);
+  return datapath::shift(significand, row.dbase + static_cast<std::int64_t>(kb + c_of));
+}
+
+// Constant kb: both carry cases computed with constant shift pairs and
+// blended on the fraction carry.
+void MbmDatapath::segment(const Row& row, int kb, std::uint64_t b_first,
+                          std::uint64_t* __restrict out, std::size_t n) const {
+  const std::uint64_t norm_shift = w - static_cast<std::uint64_t>(kb);
+  const auto [shl0, shr0] = datapath::shift_pair(row.dbase + kb);
+  const auto [shl1, shr1] = datapath::shift_pair(row.dbase + kb + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t fsum =
+        row.xf + (((((b_first + i) << norm_shift) ^ one_w) >> t) | 1u);
     const std::uint64_t frac = fsum & fmask;
     const std::uint64_t v0 = ((base0 + frac) << shl0) >> shr0;
     const std::uint64_t v1 = ((base1 + frac) << shl1) >> shr1;
-    out[idx] = (c_of != 0) ? v1 : v0;
+    out[i] = ((fsum >> f) != 0) ? v1 : v0;
   }
 }
-
-constexpr void shift_pair(std::int64_t d, std::uint64_t& shl, std::uint64_t& shr) {
-  shl = d >= 0 ? static_cast<std::uint64_t>(d) : 0;
-  shr = d >= 0 ? 0 : static_cast<std::uint64_t>(-d);
-}
-
-}  // namespace
 
 MbmMultiplier::MbmMultiplier(int n, int t, int q) : n_{n}, t_{t}, q_{q}, corr_units_{0} {
   if (n < 2 || n > 31) throw std::invalid_argument("MbmMultiplier: N in [2, 31]");
@@ -78,6 +50,18 @@ MbmMultiplier::MbmMultiplier(int n, int t, int q) : n_{n}, t_{t}, q_{q}, corr_un
   if (q < 3) throw std::invalid_argument("MbmMultiplier: q >= 3");
   corr_units_ =
       static_cast<std::uint32_t>(std::lround(core::mbm_correction() * std::ldexp(1.0, q_)));
+
+  const auto w = static_cast<std::uint64_t>(n - 1);
+  const int f = n - 1 - t;
+  const int q1 = q + 1;
+  const auto align = [&](std::uint64_t s) { return f >= q1 ? s << (f - q1) : s >> (q1 - f); };
+  dp_ = MbmDatapath{.w = w,
+                    .t = static_cast<std::uint64_t>(t),
+                    .f = static_cast<std::uint64_t>(f),
+                    .fmask = num::mask(f),
+                    .one_w = std::uint64_t{1} << w,
+                    .base0 = (std::uint64_t{1} << f) + align(std::uint64_t{corr_units_} << 1),
+                    .base1 = (std::uint64_t{1} << f) + align(corr_units_)};
 }
 
 std::uint64_t MbmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
@@ -109,77 +93,8 @@ std::uint64_t MbmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
   return significand >> (f - k_sum);
 }
 
-void MbmMultiplier::multiply_row_batch(std::uint64_t a_fixed, const std::uint64_t* b,
-                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_));
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int q1 = q_ + 1;
-  const int ka = num::leading_one(a_fixed);
-  const std::uint64_t xf =
-      (((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_) | 1u;
-  const std::uint64_t s0 = std::uint64_t{corr_units_} << 1;  // c_of = 0
-  const std::uint64_t s1 = corr_units_;                      // c_of = 1
-  const std::uint64_t al0 = (f >= q1) ? (s0 << (f - q1)) : (s0 >> (q1 - f));
-  const std::uint64_t al1 = (f >= q1) ? (s1 << (f - q1)) : (s1 >> (q1 - f));
-  mbm_row_batch_kernel(b, out, n, static_cast<std::uint64_t>(w),
-                       static_cast<std::uint64_t>(t_), static_cast<std::uint64_t>(f),
-                       num::mask(f), std::uint64_t{1} << w, xf,
-                       (std::uint64_t{1} << f) + al0, (std::uint64_t{1} << f) + al1,
-                       static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(f));
-}
-
-void MbmMultiplier::multiply_row_range(std::uint64_t a_fixed, std::uint64_t b0,
-                                       std::uint64_t* out, std::size_t n) const {
-  assert(num::fits(a_fixed, n_) && (n == 0 || num::fits(b0 + n - 1, n_)));
-  if (n == 0) return;
-  if (a_fixed == 0) {
-    for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-    return;
-  }
-  const int w = n_ - 1;
-  const int f = w - t_;
-  const int q1 = q_ + 1;
-  const int ka = num::leading_one(a_fixed);
-  const std::uint64_t xf =
-      (((a_fixed ^ (std::uint64_t{1} << ka)) << (w - ka)) >> t_) | 1u;
-  const std::uint64_t s0 = std::uint64_t{corr_units_} << 1;
-  const std::uint64_t s1 = corr_units_;
-  const std::uint64_t al0 = (f >= q1) ? (s0 << (f - q1)) : (s0 >> (q1 - f));
-  const std::uint64_t al1 = (f >= q1) ? (s1 << (f - q1)) : (s1 >> (q1 - f));
-  const std::uint64_t base0 = (std::uint64_t{1} << f) + al0;
-  const std::uint64_t base1 = (std::uint64_t{1} << f) + al1;
-
-  std::uint64_t b = b0;
-  const std::uint64_t last = b0 + n - 1;
-  if (b == 0) {
-    out[0] = 0;
-    if (n == 1) return;
-    b = 1;
-  }
-  while (b <= last) {
-    const int kb = num::leading_one(b);
-    const std::uint64_t seg_last = std::min(last, (std::uint64_t{2} << kb) - 1);
-    const std::int64_t d0 =
-        static_cast<std::int64_t>(ka + kb) - static_cast<std::int64_t>(f);
-    std::uint64_t shl0 = 0, shr0 = 0, shl1 = 0, shr1 = 0;
-    shift_pair(d0, shl0, shr0);
-    shift_pair(d0 + 1, shl1, shr1);
-    mbm_row_segment_kernel(b, out + (b - b0),
-                           static_cast<std::size_t>(seg_last - b + 1),
-                           static_cast<std::uint64_t>(w - kb),
-                           static_cast<std::uint64_t>(t_),
-                           static_cast<std::uint64_t>(f), num::mask(f),
-                           std::uint64_t{1} << w, xf, base0, base1, shl0, shr0,
-                           shl1, shr1);
-    b = seg_last + 1;
-  }
-}
-
 std::string MbmMultiplier::name() const { return "MBM (t=" + std::to_string(t_) + ")"; }
 
 }  // namespace realm::mult
+
+template class realm::DatapathMultiplier<realm::mult::MbmDatapath>;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,8 +82,10 @@ TEST(MultiplyBatch, RealmMatchesScalarAtOtherWidths) {
 }
 
 TEST(MultiplyBatch, EveryBaselineMatchesScalar) {
-  // Covers the devirtualized overrides (accurate, cALM, REALM) and the
-  // generic virtual-loop fallback of every other design in Table I.
+  // Covers the generated pairwise kernels of the datapath families and the
+  // base-class loop of every other design in Table I.  Widths 24 and 31 put
+  // the masked shifts of the branchless datapaths at their widest amounts;
+  // specs unrealizable at a width are skipped there.
   const auto table1 = mult::table1_specs();
   std::set<std::string> specs{table1.begin(), table1.end()};
   specs.insert("accurate");
@@ -89,6 +93,18 @@ TEST(MultiplyBatch, EveryBaselineMatchesScalar) {
   for (const auto& spec : specs) {
     const auto m = mult::make_multiplier(spec, 16);
     expect_batch_matches_scalar(*m, 0x5eed0000u + salt++);
+  }
+  for (const int width : {24, 31}) {
+    for (const auto& spec : specs) {
+      SCOPED_TRACE(spec + " @" + std::to_string(width));
+      std::unique_ptr<Multiplier> m;
+      try {
+        m = mult::make_multiplier(spec, width);
+      } catch (const std::exception&) {
+        continue;
+      }
+      expect_batch_matches_scalar(*m, 0x5eed0000u + salt++);
+    }
   }
 }
 

@@ -37,8 +37,8 @@ using namespace realm;
 
 namespace {
 
-// Designs with dedicated row kernels plus a sample of fallback-path designs
-// (no override: the base class broadcasts into multiply_batch blocks).
+// The kernel families (pairwise, row and range kernels generated from one
+// datapath definition) plus a sample of designs on the base-class loops.
 const std::vector<std::string>& kernel_specs() {
   static const std::vector<std::string> specs = {
       "accurate",      "realm:m=16,t=0", "realm:m=16,t=4", "realm:m=8,t=2",
@@ -92,6 +92,14 @@ TEST(RowKernels, Exhaustive8BitMatchesScalar) {
   constexpr std::uint64_t kSpace = 1u << kWidth;
   std::vector<std::uint64_t> b_all(kSpace), out(kSpace);
   for (std::uint64_t b = 0; b < kSpace; ++b) b_all[b] = b;
+  // Pairwise operands for the full cross product with `a` varying inside
+  // each call: a = i mod 256, b = i / 256.
+  std::vector<std::uint64_t> a_cross(kSpace * kSpace), b_cross(kSpace * kSpace),
+      out_cross(kSpace * kSpace);
+  for (std::uint64_t i = 0; i < kSpace * kSpace; ++i) {
+    a_cross[i] = i % kSpace;
+    b_cross[i] = i / kSpace;
+  }
 
   for (const auto& spec : kernel_specs()) {
     SCOPED_TRACE(spec);
@@ -106,6 +114,11 @@ TEST(RowKernels, Exhaustive8BitMatchesScalar) {
       for (std::uint64_t b = 0; b < kSpace; ++b) {
         ASSERT_EQ(out[b], m->multiply(a, b)) << "row_range a=" << a << " b=" << b;
       }
+    }
+    m->multiply_batch(a_cross.data(), b_cross.data(), out_cross.data(), out_cross.size());
+    for (std::size_t i = 0; i < out_cross.size(); ++i) {
+      ASSERT_EQ(out_cross[i], m->multiply(a_cross[i], b_cross[i]))
+          << "batch a=" << a_cross[i] << " b=" << b_cross[i];
     }
   }
 }
@@ -166,15 +179,15 @@ TEST(RowKernels, RangeCoversFullSpaceEdges) {
 }
 
 TEST(RowKernels, FallbackPathCountsForwardedBatches) {
-  // A design without a row override goes through the base-class broadcast
-  // fallback, which tallies each forwarded block.
+  // A design without a row kernel runs the base-class loop over multiply(),
+  // which tallies ceil(n / 1024) blocks per call.
   obs::counters_reset();
   const auto m = mult::make_multiplier("implm", 16);
   std::vector<std::uint64_t> b(100), out(100);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = i;
   m->multiply_row_batch(3, b.data(), out.data(), b.size());
   EXPECT_GE(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u);
-  // A design with a dedicated kernel never touches the fallback.
+  // A kernel family never touches the base-class loop.
   obs::counters_reset();
   const auto r = mult::make_multiplier("realm:m=16,t=0", 16);
   r->multiply_row_batch(3, b.data(), out.data(), b.size());

@@ -2,8 +2,7 @@
 // split offset, typed rejection of oversized/corrupt/unsynchronized frames,
 // and end-to-end server behavior (request kinds, warm-hit byte identity,
 // error replies that keep the connection, kill-mid-request, graceful drain,
-// connection limits, backpressure, idle timeout) over TCP, Unix sockets and
-// the poll() fallback backend.
+// connection limits, backpressure, idle timeout) over TCP and Unix sockets.
 
 #include "realm/net/protocol.hpp"
 
@@ -282,16 +281,6 @@ TEST(NetServer, PingOverUnixSocket) {
   net::Client c;
   c.connect_unix(sock.str());
   const Frame reply = c.call(MsgType::kPing, 2, {});
-  EXPECT_EQ(reply.type, MsgType::kReplyOk);
-}
-
-TEST(NetServer, PingOverPollBackend) {
-  net::ServerOptions opts;
-  opts.force_poll = true;
-  TestServer ts{std::move(opts)};
-  net::Client c;
-  c.connect_tcp(ts.port());
-  const Frame reply = c.call(MsgType::kPing, 3, {});
   EXPECT_EQ(reply.type, MsgType::kReplyOk);
 }
 
