@@ -24,6 +24,7 @@
 #include "realm/error/monte_carlo.hpp"
 #include "realm/hw/power.hpp"
 #include "realm/multiplier.hpp"
+#include "realm/multipliers/registry.hpp"
 
 namespace realm::hw {
 class CostModel;
@@ -38,14 +39,21 @@ inline constexpr const char* kSynthesisEngineVersion = "packed-v1";
 inline constexpr const char* kFaultEngineVersion = "packed-v1";
 
 // -- key builders -----------------------------------------------------------
+//
+// The design enters every key in its canonical spelling
+// (mult::DesignSpec::to_string), so all spellings of one design share one
+// store unit.
 
+[[nodiscard]] std::string monte_carlo_key(const mult::DesignSpec& spec, int n,
+                                          const err::MonteCarloOptions& opts);
+/// Parses `spec` (std::invalid_argument on a rejected form), then keys it.
 [[nodiscard]] std::string monte_carlo_key(const std::string& spec, int n,
                                           const err::MonteCarloOptions& opts);
-[[nodiscard]] std::string exhaustive_key(const std::string& spec, int n,
+[[nodiscard]] std::string exhaustive_key(const mult::DesignSpec& spec, int n,
                                          std::uint64_t lo, std::uint64_t hi);
-[[nodiscard]] std::string synthesis_key(const std::string& spec, int n,
+[[nodiscard]] std::string synthesis_key(const mult::DesignSpec& spec, int n,
                                         const hw::StimulusProfile& profile);
-[[nodiscard]] std::string fault_key(const std::string& spec, int n, int vectors,
+[[nodiscard]] std::string fault_key(const mult::DesignSpec& spec, int n, int vectors,
                                     std::uint64_t seed, std::size_t max_sites);
 
 // -- payload codecs (exact round-trip; parse throws on schema drift) --------

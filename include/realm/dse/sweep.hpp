@@ -28,8 +28,9 @@ struct SweepOptions {
 };
 
 /// Characterizes every spec and returns one point per input entry, in input
-/// order.  Duplicate spec strings are characterized once and fanned back out
-/// to every occurrence.  The cost model is calibrated lazily (at most once,
+/// order.  Specs naming the same design (one canonical mult::DesignSpec) are
+/// characterized once and fanned back out to every occurrence, each point
+/// carrying the canonical spelling.  The cost model is calibrated lazily (at most once,
 /// shared by all specs) — a fully campaign-warm sweep never constructs it.
 /// Progress is observable through the "dse/sweep" / "dse/point" trace spans
 /// and the sweep_points counter rather than stderr chatter.

@@ -15,6 +15,7 @@
 #include "realm/hw/netlist.hpp"
 #include "realm/multipliers/alm.hpp"
 #include "realm/multipliers/am.hpp"
+#include "realm/multipliers/registry.hpp"
 
 namespace realm::hw {
 
@@ -73,19 +74,15 @@ struct LogMultOptions {
 /// IntALP level 1 or 2.
 [[nodiscard]] Module build_intalp(int n, int level);
 
-/// UDM (recursive Kulkarni 2×2 blocks) — N a power of two.
-[[nodiscard]] Module build_udm(int n);
-
-/// Constant-correction truncated multiplier.
-[[nodiscard]] Module build_truncated(int n, int drop);
-
-/// Spec-string dispatch mirroring mult::make_multiplier(), so error and
-/// synthesis benches iterate the same design set.  The returned module is
-/// pruned (dead gates removed).
+/// The gate-level twin of mult::make_multiplier(): one switch over the
+/// parsed design, so error and synthesis benches iterate the same design
+/// set.  The returned module is pruned (dead gates removed); the string
+/// overload parses `spec` first (mult::DesignSpec::parse).
+[[nodiscard]] Module build_circuit(const mult::DesignSpec& spec, int n = 16);
 [[nodiscard]] Module build_circuit(const std::string& spec, int n = 16);
 
 /// Same dispatch without the final prune (for netlist-construction tests).
-[[nodiscard]] Module build_circuit_unpruned(const std::string& spec, int n = 16);
+[[nodiscard]] Module build_circuit_unpruned(const mult::DesignSpec& spec, int n = 16);
 
 /// Two's-complement signed wrapper around any unsigned design (§III-C):
 /// conditional-negate front end, unsigned core, conditional-negate back end.

@@ -17,7 +17,11 @@
 
 #pragma once
 
-#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && !defined(__clang__)
+// Not under ThreadSanitizer: the dynamic loader runs the ifunc resolvers
+// while it relocates the executable, before libtsan has initialized, and the
+// instrumented resolvers' __tsan_func_entry calls crash there.
+#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__) && \
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 #define REALM_MULTIVERSION \
   __attribute__((target_clones("default", "avx2", "arch=x86-64-v4")))
 #else

@@ -8,37 +8,42 @@
 
 namespace realm::campaign {
 
-std::string monte_carlo_key(const std::string& spec, int n,
+std::string monte_carlo_key(const mult::DesignSpec& spec, int n,
                             const err::MonteCarloOptions& opts) {
   // opts.threads never changes the result (thread-count invariance) and is
   // deliberately absent.
   return RequestKey{"error_mc"}
       .field("engine", kErrorEngineVersion)
-      .field("spec", spec)
+      .field("spec", spec.to_string())
       .field("n", n)
       .field("samples", opts.samples)
       .field_hex("seed", opts.seed)
       .str();
 }
 
-std::string exhaustive_key(const std::string& spec, int n, std::uint64_t lo,
+std::string monte_carlo_key(const std::string& spec, int n,
+                            const err::MonteCarloOptions& opts) {
+  return monte_carlo_key(mult::DesignSpec::parse(spec), n, opts);
+}
+
+std::string exhaustive_key(const mult::DesignSpec& spec, int n, std::uint64_t lo,
                            std::uint64_t hi) {
   // No seed, no sample budget, no thread count: an exact result is fully
   // determined by (engine, spec, n, range).
   return RequestKey{"error_exhaustive"}
       .field("engine", kExhaustiveEngineVersion)
-      .field("spec", spec)
+      .field("spec", spec.to_string())
       .field("n", n)
       .field("lo", lo)
       .field("hi", hi)
       .str();
 }
 
-std::string synthesis_key(const std::string& spec, int n,
+std::string synthesis_key(const mult::DesignSpec& spec, int n,
                           const hw::StimulusProfile& profile) {
   return RequestKey{"synthesis"}
       .field("engine", kSynthesisEngineVersion)
-      .field("spec", spec)
+      .field("spec", spec.to_string())
       .field("n", n)
       .field("cycles", static_cast<std::uint64_t>(profile.cycles))
       .field_hex("seed", profile.seed)
@@ -48,11 +53,11 @@ std::string synthesis_key(const std::string& spec, int n,
       .str();
 }
 
-std::string fault_key(const std::string& spec, int n, int vectors,
+std::string fault_key(const mult::DesignSpec& spec, int n, int vectors,
                       std::uint64_t seed, std::size_t max_sites) {
   return RequestKey{"fault_sweep"}
       .field("engine", kFaultEngineVersion)
-      .field("spec", spec)
+      .field("spec", spec.to_string())
       .field("n", n)
       .field("vectors", vectors)
       .field_hex("seed", seed)
@@ -143,11 +148,11 @@ err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
   if (runner == nullptr) {
     return err::exhaustive_report(design, nullptr, lo, hi, threads);
   }
-  const std::string payload =
-      runner->run_unit(exhaustive_key(spec, n, lo, hi), [&] {
-        return serialize_exhaustive_report(
-            err::exhaustive_report(design, nullptr, lo, hi, threads));
-      });
+  const auto key = exhaustive_key(mult::DesignSpec::parse(spec), n, lo, hi);
+  const std::string payload = runner->run_unit(key, [&] {
+    return serialize_exhaustive_report(
+        err::exhaustive_report(design, nullptr, lo, hi, threads));
+  });
   return parse_exhaustive_report(payload);
 }
 
@@ -231,9 +236,9 @@ SynthesisResult cached_synthesis(CampaignRunner* runner, const std::string& spec
                                  int n, const hw::StimulusProfile& profile,
                                  const std::function<hw::CostModel&()>& model) {
   if (runner == nullptr) return compute_synthesis(model(), spec, n);
-  const std::string payload =
-      runner->run_unit(synthesis_key(spec, n, profile),
-                       [&] { return serialize_synthesis(compute_synthesis(model(), spec, n)); });
+  const auto key = synthesis_key(mult::DesignSpec::parse(spec), n, profile);
+  const std::string payload = runner->run_unit(
+      key, [&] { return serialize_synthesis(compute_synthesis(model(), spec, n)); });
   return parse_synthesis(payload);
 }
 
@@ -243,10 +248,10 @@ FaultSummary cached_fault_impact(CampaignRunner* runner, const std::string& spec
   if (runner == nullptr) {
     return compute_faults(spec, n, vectors, seed, max_sites, threads);
   }
-  const std::string payload =
-      runner->run_unit(fault_key(spec, n, vectors, seed, max_sites), [&] {
-        return serialize_faults(compute_faults(spec, n, vectors, seed, max_sites, threads));
-      });
+  const auto key = fault_key(mult::DesignSpec::parse(spec), n, vectors, seed, max_sites);
+  const std::string payload = runner->run_unit(key, [&] {
+    return serialize_faults(compute_faults(spec, n, vectors, seed, max_sites, threads));
+  });
   return parse_faults(payload);
 }
 

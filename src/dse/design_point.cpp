@@ -2,9 +2,13 @@
 
 #include <cstdio>
 
+#include "realm/multipliers/registry.hpp"
+
 namespace realm::dse {
 
-bool DesignPoint::is_realm() const { return spec.rfind("realm", 0) == 0; }
+bool DesignPoint::is_realm() const {
+  return mult::DesignSpec::parse(spec).design == mult::Design::kRealm;
+}
 
 std::string design_points_csv_header() {
   return "spec,name,bias_pct,mean_error_pct,min_error_pct,max_error_pct,variance,"
@@ -13,7 +17,7 @@ std::string design_points_csv_header() {
 
 std::string DesignPoint::to_csv_row() const {
   // Spec strings use ',' between parameters; serialize with ';' so the CSV
-  // stays rectangular (parse_spec accepts either separator on the way back).
+  // stays rectangular (DesignSpec::parse accepts either separator on the way back).
   std::string safe_spec = spec;
   for (char& c : safe_spec) {
     if (c == ',') c = ';';

@@ -2,6 +2,7 @@
 
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "realm/campaign/cached_eval.hpp"
 #include "realm/multipliers/registry.hpp"
@@ -14,14 +15,18 @@ std::vector<DesignPoint> run_sweep(const std::vector<std::string>& specs,
                                    const SweepOptions& opts) {
   REALM_TRACE_SCOPE("dse/sweep");
 
-  // Dedupe identical spec strings up front: each unique design is
-  // characterized exactly once and fanned back out in input order below.
+  // Dedupe by canonical spec up front: each unique design, however it is
+  // spelled, is characterized exactly once and fanned back out in input
+  // order below.
   std::unordered_map<std::string, std::size_t> unique_index;
   std::vector<std::string> unique_specs;
+  std::vector<std::size_t> slot;
+  slot.reserve(specs.size());
   for (const auto& spec : specs) {
-    if (unique_index.try_emplace(spec, unique_specs.size()).second) {
-      unique_specs.push_back(spec);
-    }
+    std::string canonical = mult::DesignSpec::parse(spec).to_string();
+    const auto [it, fresh] = unique_index.try_emplace(canonical, unique_specs.size());
+    if (fresh) unique_specs.push_back(std::move(canonical));
+    slot.push_back(it->second);
   }
 
   // The calibration (accurate-reference synthesis) is the sweep's fixed
@@ -62,7 +67,7 @@ std::vector<DesignPoint> run_sweep(const std::vector<std::string>& specs,
 
   std::vector<DesignPoint> points;
   points.reserve(specs.size());
-  for (const auto& spec : specs) points.push_back(unique_points[unique_index.at(spec)]);
+  for (const std::size_t i : slot) points.push_back(unique_points[i]);
   return points;
 }
 

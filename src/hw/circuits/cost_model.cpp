@@ -1,5 +1,7 @@
 #include "realm/hw/cost_model.hpp"
 
+#include <utility>
+
 #include "realm/hw/circuits.hpp"
 
 namespace realm::hw {
@@ -15,13 +17,15 @@ CostModel::CostModel(int n, StimulusProfile profile) : n_{n}, profile_{profile} 
 }
 
 const DesignCost& CostModel::cost(const std::string& spec) {
-  const auto it = cache_.find(spec);
+  const mult::DesignSpec parsed = mult::DesignSpec::parse(spec);
+  std::string key = parsed.to_string();
+  const auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  const Module mod = build_circuit(spec, n_);
+  const Module mod = build_circuit(parsed, n_);
   DesignCost c;
   c.area_um2 = mod.area_um2() * area_scale_;
   c.power_uw = estimate_power(mod, profile_).total() * power_scale_;
-  return cache_.emplace(spec, c).first->second;
+  return cache_.emplace(std::move(key), c).first->second;
 }
 
 double CostModel::area_reduction_pct(const std::string& spec) {

@@ -10,7 +10,7 @@
 namespace realm::hw {
 
 Module build_signed_circuit(const std::string& spec, int n) {
-  Module core = build_circuit_unpruned(spec, n);
+  Module core = build_circuit_unpruned(mult::DesignSpec::parse(spec), n);
   Module m{"signed_" + core.name()};
   const Bus a = m.add_input("a", n);
   const Bus b = m.add_input("b", n);

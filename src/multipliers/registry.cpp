@@ -1,8 +1,8 @@
 #include "realm/multipliers/registry.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <map>
+#include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "realm/core/realm_multiplier.hpp"
@@ -15,96 +15,221 @@
 #include "realm/multipliers/mbm.hpp"
 #include "realm/multipliers/mitchell.hpp"
 #include "realm/multipliers/ssm.hpp"
-#include "realm/multipliers/udm.hpp"
 
 namespace realm::mult {
 
-int SpecParams::get(const std::string& key, int fallback) const {
-  const auto it = params.find(key);
-  return it == params.end() ? fallback : it->second;
-}
+namespace {
 
-int SpecParams::require(const std::string& key) const {
-  const auto it = params.find(key);
-  if (it == params.end()) {
-    throw std::invalid_argument("spec: design '" + design + "' requires parameter '" +
-                                key + "'");
+// -- the design table -------------------------------------------------------
+//
+// Every design name, alias, parameter name, default and required flag lives
+// here once; the parser, the canonical printer, the behavioral factory and
+// the circuit builders all read it (or the typed fields it fills).
+
+enum class Presence : std::uint8_t {
+  kRequired,  ///< must be given; always printed
+  kPrinted,   ///< defaults when omitted; always printed
+  kOptional,  ///< defaults when omitted; printed only when not at the default
+};
+
+struct Param {
+  std::string_view name;
+  int DesignSpec::*field;
+  Presence presence;
+  int fallback = 0;
+  int max = std::numeric_limits<int>::max();
+};
+
+struct Schema {
+  Design design;
+  std::string_view name;
+  std::span<const Param> params;
+};
+
+// REALM's LUT holds M^2 q-bit factors: its derivation costs O(M^2) time and
+// memory (M = 2^14 asks for gigabytes) and q past 62 overflows its shifts,
+// so both are capped far above anything the paper or the benches use.
+constexpr int kMaxLutSegments = 256;
+constexpr int kMaxCorrectionBits = 30;
+
+constexpr Param kRealmParams[] = {
+    {"m", &DesignSpec::m, Presence::kPrinted, 16, kMaxLutSegments},
+    {"t", &DesignSpec::t, Presence::kPrinted, 0},
+    {"q", &DesignSpec::q, Presence::kOptional, 6, kMaxCorrectionBits},
+    {"mse", &DesignSpec::mse, Presence::kOptional, 0, 1}};
+constexpr Param kCalmParams[] = {
+    {"t", &DesignSpec::t, Presence::kOptional, 0},
+    {"adder", &DesignSpec::adder, Presence::kOptional, 0, 2}};
+constexpr Param kMbmParams[] = {
+    {"t", &DesignSpec::t, Presence::kPrinted, 0},
+    {"q", &DesignSpec::q, Presence::kOptional, 6, kMaxCorrectionBits}};
+constexpr Param kMParam[] = {{"m", &DesignSpec::m, Presence::kRequired}};
+constexpr Param kKParam[] = {{"k", &DesignSpec::k, Presence::kRequired}};
+constexpr Param kNbParam[] = {{"nb", &DesignSpec::nb, Presence::kRequired}};
+constexpr Param kLParam[] = {{"l", &DesignSpec::l, Presence::kPrinted, 2}};
+
+// Indexed by Design.
+constexpr Schema kSchemas[] = {
+    {Design::kAccurate, "accurate", {}},
+    {Design::kCalm, "calm", kCalmParams},
+    {Design::kRealm, "realm", kRealmParams},
+    {Design::kMbm, "mbm", kMbmParams},
+    {Design::kAlmSoa, "alm-soa", kMParam},
+    {Design::kAlmMaa, "alm-maa", kMParam},
+    {Design::kImplm, "implm", {}},
+    {Design::kDrum, "drum", kKParam},
+    {Design::kSsm, "ssm", kMParam},
+    {Design::kEssm, "essm", kMParam},
+    {Design::kAm1, "am1", kNbParam},
+    {Design::kAm2, "am2", kNbParam},
+    {Design::kIntalp, "intalp", kLParam},
+};
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kSchemas); ++i) {
+    if (static_cast<std::size_t>(kSchemas[i].design) != i) return false;
   }
-  return it->second;
+  return true;
+}());
+
+[[nodiscard]] const Schema& schema_of(Design d) {
+  return kSchemas[static_cast<std::size_t>(d)];
 }
 
-SpecParams parse_spec(const std::string& spec) {
-  SpecParams out;
-  const auto colon = spec.find(':');
-  out.design = spec.substr(0, colon);
-  std::transform(out.design.begin(), out.design.end(), out.design.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (colon == std::string::npos) return out;
+[[noreturn]] void reject(std::string_view spec, const std::string& why) {
+  throw std::invalid_argument("design spec '" + std::string{spec} + "': " + why);
+}
 
-  std::string rest = spec.substr(colon + 1);
-  // ';' is accepted as a parameter separator so CSV-safe specs round-trip.
-  std::replace(rest.begin(), rest.end(), ';', ',');
-  std::size_t pos = 0;
-  while (pos < rest.size()) {
-    const auto comma = rest.find(',', pos);
-    const std::string kv =
-        rest.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("make_multiplier: malformed parameter in '" + spec + "'");
+[[nodiscard]] std::string lower(std::string_view s) {
+  std::string out{s};
+  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return out;
+}
+
+[[nodiscard]] const Schema& lookup_design(std::string_view spec,
+                                          const std::string& name) {
+  for (const Schema& s : kSchemas) {
+    if (s.name == name) return s;
+  }
+  if (name == "mitchell") return schema_of(Design::kCalm);  // the one alias
+  reject(spec, "unknown design '" + name + "'");
+}
+
+/// Plain decimal digits, no leading zero, at most `max`.
+[[nodiscard]] int parse_value(std::string_view spec, const Param& p, std::string_view v) {
+  const bool digits_only =
+      !v.empty() && v.find_first_not_of("0123456789") == std::string_view::npos;
+  if (!digits_only || (v.size() > 1 && v.front() == '0')) {
+    reject(spec, "parameter '" + std::string{p.name} + "' needs plain digits, got '" +
+                     std::string{v} + "'");
+  }
+  long long value = 0;
+  for (const char c : v) {
+    value = value * 10 + (c - '0');
+    if (value > p.max) {
+      reject(spec,
+             "parameter '" + std::string{p.name} + "' above " + std::to_string(p.max));
     }
-    std::string key = kv.substr(0, eq);
-    std::transform(key.begin(), key.end(), key.begin(),
-                   [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    out.params[key] = std::stoi(kv.substr(eq + 1));
-    pos = comma == std::string::npos ? rest.size() : comma + 1;
+  }
+  return static_cast<int>(value);
+}
+
+}  // namespace
+
+DesignSpec DesignSpec::parse(std::string_view spec) {
+  const auto colon = spec.find(':');
+  const Schema& schema = lookup_design(spec, lower(spec.substr(0, colon)));
+  DesignSpec out;
+  out.design = schema.design;
+
+  std::uint32_t seen = 0;  // bit i: schema.params[i] given
+  if (colon != std::string_view::npos) {
+    std::string_view rest = spec.substr(colon + 1);
+    for (;;) {
+      // ';' is accepted as a parameter separator so CSV-safe specs round-trip.
+      const auto sep = rest.find_first_of(",;");
+      const std::string_view kv = rest.substr(0, sep);
+      const auto eq = kv.find('=');
+      if (eq == std::string_view::npos || eq == 0) {
+        reject(spec, "malformed parameter '" + std::string{kv} + "'");
+      }
+      const std::string key = lower(kv.substr(0, eq));
+      std::size_t i = 0;
+      while (i < schema.params.size() && schema.params[i].name != key) ++i;
+      if (i == schema.params.size()) {
+        reject(spec, "design '" + std::string{schema.name} + "' takes no parameter '" +
+                         key + "'");
+      }
+      if ((seen >> i) & 1u) reject(spec, "duplicate parameter '" + key + "'");
+      seen |= 1u << i;
+      const Param& p = schema.params[i];
+      out.*p.field = parse_value(spec, p, kv.substr(eq + 1));
+      if (sep == std::string_view::npos) break;
+      rest = rest.substr(sep + 1);
+    }
+  }
+  for (std::size_t i = 0; i < schema.params.size(); ++i) {
+    if ((seen >> i) & 1u) continue;
+    const Param& p = schema.params[i];
+    if (p.presence == Presence::kRequired) {
+      reject(spec, "design '" + std::string{schema.name} + "' requires parameter '" +
+                       std::string{p.name} + "'");
+    }
+    out.*p.field = p.fallback;
   }
   return out;
 }
 
+std::string DesignSpec::to_string() const {
+  const Schema& schema = schema_of(design);
+  std::string out{schema.name};
+  char sep = ':';
+  for (const Param& p : schema.params) {
+    const int v = this->*p.field;
+    if (p.presence == Presence::kOptional && v == p.fallback) continue;
+    out += sep;
+    out += p.name;
+    out += '=';
+    out += std::to_string(v);
+    sep = ',';
+  }
+  return out;
+}
+
+core::RealmConfig realm_config(const DesignSpec& s, int n) {
+  core::RealmConfig cfg;
+  cfg.n = n;
+  cfg.m = s.m;
+  cfg.t = s.t;
+  cfg.q = s.q;
+  cfg.formulation = s.mse != 0 ? core::Formulation::kMeanSquareError
+                               : core::Formulation::kMeanRelativeError;
+  return cfg;
+}
+
+std::unique_ptr<Multiplier> make_multiplier(const DesignSpec& s, int n) {
+  switch (s.design) {
+    case Design::kAccurate: return std::make_unique<AccurateMultiplier>(n);
+    case Design::kCalm: return std::make_unique<MitchellMultiplier>(n, s.t);
+    case Design::kRealm:
+      return std::make_unique<core::RealmMultiplier>(realm_config(s, n));
+    case Design::kMbm: return std::make_unique<MbmMultiplier>(n, s.t, s.q);
+    case Design::kAlmSoa:
+      return std::make_unique<AlmMultiplier>(n, s.m, AlmAdder::kSetOne);
+    case Design::kAlmMaa:
+      return std::make_unique<AlmMultiplier>(n, s.m, AlmAdder::kLowerOr);
+    case Design::kImplm: return std::make_unique<ImplmMultiplier>(n);
+    case Design::kDrum: return std::make_unique<DrumMultiplier>(n, s.k);
+    case Design::kSsm: return std::make_unique<SsmMultiplier>(n, s.m);
+    case Design::kEssm: return std::make_unique<EssmMultiplier>(n, s.m);
+    case Design::kAm1: return std::make_unique<AmMultiplier>(n, s.nb, AmVariant::kAm1);
+    case Design::kAm2: return std::make_unique<AmMultiplier>(n, s.nb, AmVariant::kAm2);
+    case Design::kIntalp: return std::make_unique<IntAlpMultiplier>(n, s.l);
+  }
+  throw std::invalid_argument("make_multiplier: invalid design enum");
+}
+
 std::unique_ptr<Multiplier> make_multiplier(const std::string& spec, int n) {
-  const SpecParams s = parse_spec(spec);
-  if (s.design == "accurate") return std::make_unique<AccurateMultiplier>(n);
-  if (s.design == "calm" || s.design == "mitchell") {
-    return std::make_unique<MitchellMultiplier>(n, s.get("t", 0));
-  }
-  if (s.design == "realm") {
-    core::RealmConfig cfg;
-    cfg.n = n;
-    cfg.m = s.get("m", 16);
-    cfg.t = s.get("t", 0);
-    cfg.q = s.get("q", 6);
-    cfg.formulation = s.get("mse", 0) != 0 ? core::Formulation::kMeanSquareError
-                                           : core::Formulation::kMeanRelativeError;
-    return std::make_unique<core::RealmMultiplier>(cfg);
-  }
-  if (s.design == "mbm") {
-    return std::make_unique<MbmMultiplier>(n, s.get("t", 0), s.get("q", 6));
-  }
-  if (s.design == "alm-soa") {
-    return std::make_unique<AlmMultiplier>(n, s.require("m"), AlmAdder::kSetOne);
-  }
-  if (s.design == "alm-maa") {
-    return std::make_unique<AlmMultiplier>(n, s.require("m"), AlmAdder::kLowerOr);
-  }
-  if (s.design == "implm") return std::make_unique<ImplmMultiplier>(n);
-  if (s.design == "drum") return std::make_unique<DrumMultiplier>(n, s.require("k"));
-  if (s.design == "ssm") return std::make_unique<SsmMultiplier>(n, s.require("m"));
-  if (s.design == "essm") return std::make_unique<EssmMultiplier>(n, s.require("m"));
-  if (s.design == "am1") {
-    return std::make_unique<AmMultiplier>(n, s.require("nb"), AmVariant::kAm1);
-  }
-  if (s.design == "am2") {
-    return std::make_unique<AmMultiplier>(n, s.require("nb"), AmVariant::kAm2);
-  }
-  if (s.design == "intalp") {
-    return std::make_unique<IntAlpMultiplier>(n, s.get("l", 2));
-  }
-  if (s.design == "udm") return std::make_unique<UdmMultiplier>(n);
-  if (s.design == "trunc") {
-    return std::make_unique<TruncatedMultiplier>(n, s.require("drop"));
-  }
-  throw std::invalid_argument("make_multiplier: unknown design '" + s.design + "'");
+  return make_multiplier(DesignSpec::parse(spec), n);
 }
 
 std::vector<std::string> table1_specs() {

@@ -116,7 +116,7 @@ class Epoll {
 struct Request {
   MsgType type = MsgType::kPing;
   std::uint64_t seq = 0;
-  std::string spec;
+  mult::DesignSpec spec;  ///< parsed on the loop thread
   int n = 0;
   std::uint64_t samples = 0;
   std::uint64_t seed = 0;
@@ -134,8 +134,9 @@ struct Request {
   return static_cast<int>(n);
 }
 
-/// Throws std::runtime_error on any malformed/over-budget field; the caller
-/// turns that into a kBadRequest reply.
+/// Throws std::runtime_error on any malformed/over-budget field, and
+/// std::invalid_argument on a rejected design spec; the caller turns either
+/// into a kBadRequest reply, so no bad spec ever reaches an executor.
 [[nodiscard]] Request parse_request(MsgType type, std::uint64_t seq,
                                     const std::string& body) {
   const campaign::PayloadReader r{body};
@@ -144,7 +145,7 @@ struct Request {
   rq.seq = seq;
   switch (type) {
     case MsgType::kMultiplyBatch: {
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::DesignSpec::parse(r.get_string("spec"));
       rq.n = parse_width(r);
       rq.a = parse_u64_list(r.get_string("a"));
       rq.b = parse_u64_list(r.get_string("b"));
@@ -163,7 +164,7 @@ struct Request {
       break;
     }
     case MsgType::kCharacterizeMc:
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::DesignSpec::parse(r.get_string("spec"));
       rq.n = parse_width(r);
       rq.samples = r.get_u64("samples");
       rq.seed = r.get_u64("seed");
@@ -172,7 +173,7 @@ struct Request {
       }
       break;
     case MsgType::kCharacterizeExhaustive:
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::DesignSpec::parse(r.get_string("spec"));
       rq.n = parse_width(r);
       rq.lo = r.get_u64("lo");
       rq.hi = r.get_u64("hi");
@@ -182,7 +183,7 @@ struct Request {
       }
       break;
     case MsgType::kSynthesisCost: {
-      rq.spec = r.get_string("spec");
+      rq.spec = mult::DesignSpec::parse(r.get_string("spec"));
       rq.n = parse_width(r);
       const std::uint64_t cycles = r.get_u64("cycles");
       if (cycles == 0 || cycles > kMaxSynthesisCycles) {
@@ -329,11 +330,6 @@ struct Server::Impl {
   std::atomic<std::uint64_t> jobs_in_flight{0};
   std::vector<Completion> completions;
   std::mutex completion_mu;
-
-  // Model instances are immutable and thread-safe; one cache serves every
-  // executor thread and amortizes spec parsing + LUT sharing across requests.
-  std::unordered_map<std::string, std::shared_ptr<const Multiplier>> models;
-  std::mutex model_mu;
 
   struct AtomicStats {
     std::atomic<std::uint64_t> accepted{0}, rejected{0}, requests{0}, warm_hits{0},
@@ -899,25 +895,16 @@ struct Server::Impl {
     }
   }
 
-  [[nodiscard]] std::shared_ptr<const Multiplier> model_for(const std::string& spec,
-                                                            int n) {
-    const std::string key = spec + "|" + std::to_string(n);
-    std::lock_guard lock{model_mu};
-    auto it = models.find(key);
-    if (it != models.end()) return it->second;
-    std::shared_ptr<const Multiplier> model = mult::make_multiplier(spec, n);
-    models.emplace(key, model);
-    return model;
-  }
-
   /// The reply body for a dispatched request.  Cacheable kinds run through
   /// the campaign runner (compute + durable put on miss), so the body is
-  /// always exactly the stored payload.
+  /// always exactly the stored payload.  Each job builds its own model from
+  /// the parsed spec (under a microsecond; REALM's LUT comes from the shared
+  /// SegmentLut cache), so the server keeps no per-spec state.
   [[nodiscard]] std::string compute_body(const Request& rq) {
     campaign::CampaignRunner* runner = opts.campaign;
     switch (rq.type) {
       case MsgType::kMultiplyBatch: {
-        const auto model = model_for(rq.spec, rq.n);
+        const auto model = mult::make_multiplier(rq.spec, rq.n);
         std::vector<std::uint64_t> out(rq.a.size());
         model->multiply_batch(rq.a.data(), rq.b.data(), out.data(), out.size());
         return campaign::PayloadWriter{}
@@ -929,7 +916,7 @@ struct Server::Impl {
         opts_mc.samples = rq.samples;
         opts_mc.seed = rq.seed;
         opts_mc.threads = opts.engine_threads;
-        const auto model = model_for(rq.spec, rq.n);
+        const auto model = mult::make_multiplier(rq.spec, rq.n);
         const auto compute = [&] {
           return campaign::serialize_error_metrics(err::monte_carlo(*model, opts_mc));
         };
@@ -938,7 +925,7 @@ struct Server::Impl {
                                 compute);
       }
       case MsgType::kCharacterizeExhaustive: {
-        const auto model = model_for(rq.spec, rq.n);
+        const auto model = mult::make_multiplier(rq.spec, rq.n);
         const auto compute = [&] {
           return campaign::serialize_exhaustive_report(err::exhaustive_report(
               *model, nullptr, rq.lo, rq.hi, opts.engine_threads));
@@ -951,13 +938,14 @@ struct Server::Impl {
         const hw::StimulusProfile profile =
             synthesis_profile(rq.cycles, opts.engine_threads);
         const auto compute = [&] {
+          const std::string spec = rq.spec.to_string();
           hw::CostModel cm{rq.n, profile};
-          const hw::DesignCost& cost = cm.cost(rq.spec);
+          const hw::DesignCost& cost = cm.cost(spec);
           campaign::SynthesisResult s;
           s.area_um2 = cost.area_um2;
           s.power_uw = cost.power_uw;
-          s.area_reduction_pct = cm.area_reduction_pct(rq.spec);
-          s.power_reduction_pct = cm.power_reduction_pct(rq.spec);
+          s.area_reduction_pct = cm.area_reduction_pct(spec);
+          s.power_reduction_pct = cm.power_reduction_pct(spec);
           s.delay_ps =
               hw::analyze_timing(hw::build_circuit(rq.spec, rq.n)).critical_path_ps;
           return campaign::serialize_synthesis(s);

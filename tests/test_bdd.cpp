@@ -116,7 +116,8 @@ TEST(Equivalence, InequivalenceYieldsAVerifiedCounterexample) {
 
 TEST(Equivalence, PruningIsFormallySound) {
   const Module pruned = build_circuit("realm:m=4,t=2", 8);
-  const Module unpruned = build_circuit_unpruned("realm:m=4,t=2", 8);
+  const Module unpruned =
+      build_circuit_unpruned(realm::mult::DesignSpec::parse("realm:m=4,t=2"), 8);
   EXPECT_TRUE(check_equivalence(pruned, unpruned).equivalent);
 }
 

@@ -1,5 +1,7 @@
 #include "realm/hw/cost_model.hpp"
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 using namespace realm::hw;
@@ -57,6 +59,10 @@ TEST(CostModel, CachingReturnsIdenticalObjects) {
   const DesignCost& a = cm.cost("calm");
   const DesignCost& b = cm.cost("calm");
   EXPECT_EQ(&a, &b);
+  // The cache keys on the canonical spec, so every spelling shares the entry.
+  EXPECT_EQ(&a, &cm.cost("mitchell"));
+  EXPECT_EQ(&cm.cost("realm:m=8,t=2"), &cm.cost("REALM:t=2;m=8,q=6"));
+  EXPECT_THROW((void)cm.cost("calm:t=00"), std::invalid_argument);
 }
 
 TEST(CostModel, IntAlpL2IsTheCostliestApproximate) {

@@ -96,6 +96,7 @@ TEST(DesignPoint, CsvRowHasAllColumns) {
   };
   EXPECT_EQ(commas(header), commas(row));
   EXPECT_TRUE(p.is_realm());
+  EXPECT_TRUE(point("REALM:t=1;m=8", 0.75, 3.7, 60, 72).is_realm());
   EXPECT_FALSE(point("calm", 1, 1, 1, 1).is_realm());
 }
 
@@ -156,12 +157,15 @@ TEST(Sweep, DuplicateSpecsCharacterizedOnceInInputOrder) {
   dse::SweepOptions opts;
   opts.monte_carlo.samples = 1 << 12;
   opts.stimulus.cycles = 100;
-  const std::vector<std::string> specs{"calm", "realm:m=4,t=0", "calm", "calm",
-                                       "realm:m=4,t=0"};
+  // Spellings of one design are duplicates too: they share a canonical spec.
+  const std::vector<std::string> specs{"calm", "realm:m=4,t=0", "mitchell", "calm",
+                                       "REALM:t=0;m=4"};
+  const std::vector<std::string> canonical{"calm", "realm:m=4,t=0", "calm", "calm",
+                                           "realm:m=4,t=0"};
   const auto pts = dse::run_sweep(specs, opts);
   ASSERT_EQ(pts.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    EXPECT_EQ(pts[i].spec, specs[i]) << "results must stay in input order";
+    EXPECT_EQ(pts[i].spec, canonical[i]) << "results must stay in input order";
   }
   // Duplicates are the same characterization fanned out, not reruns.
   EXPECT_EQ(std::memcmp(&pts[0].error.mean, &pts[2].error.mean, sizeof(double)), 0);

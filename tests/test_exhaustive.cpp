@@ -337,11 +337,15 @@ TEST(ExhaustiveCampaign, CodecRejectsGarbage) {
 }
 
 TEST(ExhaustiveCampaign, KeyIsCanonicalAndThreadFree) {
-  const auto k1 = campaign::exhaustive_key("realm:m=16,t=0", 16, 0, 65535);
-  EXPECT_EQ(k1, campaign::exhaustive_key("realm:m=16,t=0", 16, 0, 65535));
-  EXPECT_NE(k1, campaign::exhaustive_key("realm:m=16,t=0", 16, 0, 1023));
-  EXPECT_NE(k1, campaign::exhaustive_key("realm:m=8,t=0", 16, 0, 65535));
-  EXPECT_NE(k1, campaign::exhaustive_key("realm:m=16,t=0", 10, 0, 65535));
+  const auto realm16 = mult::DesignSpec::parse("realm:m=16,t=0");
+  const auto k1 = campaign::exhaustive_key(realm16, 16, 0, 65535);
+  EXPECT_EQ(k1, campaign::exhaustive_key(realm16, 16, 0, 65535));
+  EXPECT_EQ(k1, campaign::exhaustive_key(mult::DesignSpec::parse("realm:t=0,m=16"), 16,
+                                         0, 65535));
+  EXPECT_NE(k1, campaign::exhaustive_key(realm16, 16, 0, 1023));
+  EXPECT_NE(k1, campaign::exhaustive_key(mult::DesignSpec::parse("realm:m=8,t=0"), 16,
+                                         0, 65535));
+  EXPECT_NE(k1, campaign::exhaustive_key(realm16, 10, 0, 65535));
   EXPECT_NE(k1.find(campaign::kExhaustiveEngineVersion), std::string::npos);
 }
 

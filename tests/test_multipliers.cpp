@@ -3,9 +3,13 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "realm/campaign/cached_eval.hpp"
 #include "realm/multipliers/accurate.hpp"
 #include "realm/multipliers/drum.hpp"
 #include "realm/multipliers/mitchell.hpp"
@@ -201,4 +205,100 @@ TEST(Registry, NamesAreUnique) {
   for (const auto& spec : mult::table1_specs()) {
     EXPECT_TRUE(names.insert(mult::make_multiplier(spec, 16)->name()).second) << spec;
   }
+}
+
+// Every spelling the repo uses as a key is its own canonical form, so
+// journals written before DesignSpec existed keep every warm hit.
+TEST(DesignSpec, RepoSpellingsAreCanonical) {
+  std::vector<std::string> specs = mult::table1_specs();
+  for (const auto& s : mult::table2_specs()) specs.push_back(s);
+  for (const auto& s : mult::fig1_specs()) specs.push_back(s);
+  // The served benchmark's design rotation, the CI smokes, the circuit-only
+  // adder ablation and bench_ablation's non-default q / MSE points.
+  for (const char* s : {"realm:m=16,t=4", "realm:m=8,t=2", "mbm:t=0", "drum:k=6", "calm",
+                        "ssm:m=8", "implm", "alm-soa:m=11", "accurate", "realm:m=16,t=8",
+                        "calm:adder=1", "calm:adder=2", "realm:m=8,t=0,q=5",
+                        "realm:m=8,t=0,mse=1"}) {
+    specs.emplace_back(s);
+  }
+  for (const auto& s : specs) {
+    const auto parsed = mult::DesignSpec::parse(s);
+    EXPECT_EQ(parsed.to_string(), s);
+    EXPECT_EQ(mult::DesignSpec::parse(parsed.to_string()), parsed) << s;
+  }
+}
+
+// The alias spellings that used to build one model under many campaign keys:
+// each now yields exactly the canonical key or is rejected with
+// std::invalid_argument (never std::out_of_range).
+TEST(DesignSpec, AliasSpellingsFoldOrAreRejected) {
+  struct Case {
+    const char* spelling;
+    const char* canonical;  // nullptr: rejected
+  };
+  const Case cases[] = {
+      {"realm:t=0,m=16", "realm:m=16,t=0"},
+      {"REALM:m=16,t=0", "realm:m=16,t=0"},
+      {"realm:m=16;t=0", "realm:m=16,t=0"},
+      {"realm", "realm:m=16,t=0"},
+      {"realm:m=16,t=0,q=6,mse=0", "realm:m=16,t=0"},
+      {"mitchell", "calm"},
+      {"calm:t=0,adder=0", "calm"},
+      {"mbm", "mbm:t=0"},
+      {"intalp", "intalp:l=2"},
+      {"realm:m=016,t=0", nullptr},
+      {"realm:m=+16,t=00", nullptr},
+      {"realm:m= 16,t=0", nullptr},
+      {"realm:m=16abc,t=0", nullptr},
+      {"realm:m=16,t=0,", nullptr},
+      {"realm:m=16,t=0,zz=7", nullptr},
+      {"realm:m=16,t=0,m=16", nullptr},
+      {"realm:m=16,t=-0", nullptr},
+      {"realm:m=99999999999,t=0", nullptr},
+      {"realm:m=16,,t=0", nullptr},
+      {"realm:", nullptr},
+      {"realm:m=16,t=0,mse=2", nullptr},
+      {"drum:k=6,q=1", nullptr},
+      {"accurate:x=1", nullptr},
+      {" realm:m=16,t=0", nullptr},
+  };
+  err::MonteCarloOptions opts;
+  for (const Case& c : cases) {
+    if (c.canonical != nullptr) {
+      EXPECT_EQ(mult::DesignSpec::parse(c.spelling).to_string(), c.canonical)
+          << c.spelling;
+      EXPECT_EQ(campaign::monte_carlo_key(c.spelling, 16, opts),
+                campaign::monte_carlo_key(c.canonical, 16, opts))
+          << c.spelling;
+    } else {
+      EXPECT_THROW((void)mult::DesignSpec::parse(c.spelling), std::invalid_argument)
+          << c.spelling;
+      EXPECT_THROW((void)mult::make_multiplier(c.spelling, 16), std::invalid_argument)
+          << c.spelling;
+      EXPECT_THROW((void)campaign::monte_carlo_key(c.spelling, 16, opts),
+                   std::invalid_argument)
+          << c.spelling;
+    }
+  }
+}
+
+// The key bytes journals were written under before specs were parsed into a
+// DesignSpec; a store from then must stay warm, so these must not move.
+TEST(DesignSpec, CampaignKeysKeepTheirJournalBytes) {
+  err::MonteCarloOptions mc;
+  mc.samples = 1 << 20;
+  mc.seed = 0x1234;
+  hw::StimulusProfile profile;
+  profile.cycles = 512;
+  const auto alm = mult::DesignSpec::parse("ALM-SOA:m=11");
+  EXPECT_EQ(campaign::monte_carlo_key("alm-soa:m=11", 16, mc),
+            "realm-campaign/v1|error_mc|engine=batched-v1|spec=alm-soa:m=11|n=16|"
+            "samples=1048576|seed=0x1234");
+  EXPECT_EQ(campaign::exhaustive_key(alm, 16, 0, 4095),
+            "realm-campaign/v1|error_exhaustive|engine=tiled-v1|spec=alm-soa:m=11|n=16|"
+            "lo=0|hi=4095");
+  EXPECT_EQ(campaign::synthesis_key(alm, 16, profile),
+            "realm-campaign/v1|synthesis|engine=packed-v1|spec=alm-soa:m=11|n=16|"
+            "cycles=512|seed=0x9a7e5eed|toggle_rate=0x1p-2|probability=0x1p-1|"
+            "glitches=0");
 }

@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -504,6 +505,54 @@ TEST(NetServer, WarmHitsServeStoredBytesWithoutDispatch) {
       store.get(campaign::monte_carlo_key("realm:m=16,t=4", 16, mco));
   ASSERT_TRUE(stored.has_value());
   EXPECT_EQ(*stored, cold.body);
+}
+
+// A bad design spec is rejected while the loop parses the request: an
+// out-of-int value, trailing text or an unknown parameter is kBadRequest
+// (never `internal: stoi`), and nothing reaches an executor.
+TEST(NetServer, BadSpecIsBadRequestOnTheLoop) {
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  std::uint64_t seq = 0;
+  for (const char* spec :
+       {"realm:m=99999999999,t=0", "realm:m=16abc,t=0", "realm:m=16,t=0,zz=7"}) {
+    for (const auto& [type, body] :
+         {std::pair{MsgType::kCharacterizeMc, mc_body(spec, 16, 64, 1)},
+          std::pair{MsgType::kMultiplyBatch, multiply_body(spec, 16, {3}, {5})}}) {
+      const Frame r = c.call(type, ++seq, body);
+      ASSERT_EQ(r.type, MsgType::kReplyError) << spec;
+      const net::ErrorReply e = net::parse_error(r.body);
+      EXPECT_EQ(e.code, ErrorCode::kBadRequest) << spec << ": " << e.message;
+    }
+  }
+  EXPECT_EQ(ts.server().stats().dispatched, 0u);
+  EXPECT_EQ(c.call(MsgType::kPing, ++seq, {}).type, MsgType::kReplyOk);
+}
+
+// Two spellings of one design share one campaign key: the second is a warm
+// hit served with the first one's stored bytes.
+TEST(NetServer, SpecSpellingsShareOneWarmKey) {
+  TempPath store_path{"alias"};
+  campaign::ResultStore store{store_path.str()};
+  campaign::CampaignRunner runner{&store, true};
+  net::ServerOptions opts;
+  opts.campaign = &runner;
+  TestServer ts{std::move(opts)};
+  net::Client c;
+  c.connect_tcp(ts.port());
+
+  const Frame cold =
+      c.call(MsgType::kCharacterizeMc, 1, mc_body("realm:m=16,t=0", 16, 2048, 99), 60000);
+  ASSERT_EQ(cold.type, MsgType::kReplyOk);
+  const Frame warm =
+      c.call(MsgType::kCharacterizeMc, 2, mc_body("realm:t=0,m=16", 16, 2048, 99), 60000);
+  ASSERT_EQ(warm.type, MsgType::kReplyOk);
+  const net::Server::Stats st = ts.server().stats();
+  EXPECT_EQ(st.dispatched, 1u);
+  EXPECT_EQ(st.warm_hits, 1u);
+  EXPECT_EQ(warm.body, cold.body);
+  EXPECT_EQ(store.size(), 1u);
 }
 
 TEST(NetServer, GracefulDrainFlushesInFlightWork) {
