@@ -12,8 +12,12 @@
 // plus the engine-level comparison exhaustive_report (tiled) vs
 // exhaustive_generic_reference, which the bench also cross-checks for
 // bit-identical metrics (the determinism contract, enforced here and in the
-// tests).  Writes bench_out/BENCH_exhaustive.json; CI gates on
-// speedup_row_vs_generic >= 2.5 (REALM16).
+// tests).  At 16 bits it also runs the per-family ladder: for every
+// multiplier family, ms per 2048 x 2048 products through the scalar
+// multiply() loop and the pairwise, row and range kernels, one thread
+// (metrics ladder.<family>.{scalar,pairwise,row,range}_ms).  Writes
+// bench_out/BENCH_exhaustive.json; CI gates on speedup_row_vs_generic >= 2.5
+// (REALM16) and on each family's scalar_ms / row_ms >= 2.
 //
 // With --store, switches to campaign mode: three REALM configurations run
 // through cached_exhaustive as resumable units and the document carries only
@@ -42,9 +46,11 @@ using namespace realm;
 
 namespace {
 
-// Best-of-N wall-clock throughput (pairs/second); see bench_table1_errors.
+// Best-of-N wall-clock seconds for one call of fn: after a warm-up, between
+// min_reps and max_reps timed reps, stopping once 0.5 s have elapsed.
+// Noise only ever slows a rep down, so the minimum is the stable estimator.
 template <typename Fn>
-double measure_pps(std::uint64_t pairs, Fn&& fn) {
+double best_seconds(Fn&& fn, int min_reps, int max_reps) {
   using clock = std::chrono::steady_clock;
   fn();  // warm-up
   double best = 1e300;
@@ -57,8 +63,93 @@ double measure_pps(std::uint64_t pairs, Fn&& fn) {
     best = std::min(best, dt);
     elapsed += dt;
     ++reps;
-  } while ((elapsed < 0.5 || reps < 3) && reps < 64);
-  return static_cast<double>(pairs) / best;
+  } while ((elapsed < 0.5 || reps < min_reps) && reps < max_reps);
+  return best;
+}
+
+// Best-of-N wall-clock throughput (pairs/second); see bench_table1_errors.
+template <typename Fn>
+double measure_pps(std::uint64_t pairs, Fn&& fn) {
+  return static_cast<double>(pairs) / best_seconds(fn, 3, 64);
+}
+
+constexpr int kLadderWidth = 16;
+
+// Per-family ladder: every design's scalar multiply() loop and its three
+// generated batch shapes over the same 2048 x 2048 16-bit products, one
+// thread, best of 5, in ms.  Row i takes an operand spread over the range
+// and meets the 2048-column tile i mod 32, so the rows visit every tile of
+// the column space; pairwise pairs the same columns with a rotating row
+// operand so both of its inputs vary.
+void family_ladder(obs::MetricsSink& sink) {
+  constexpr std::uint64_t kRows = 2048, kCols = 2048;
+  constexpr std::uint64_t kSpace = std::uint64_t{1} << kLadderWidth;
+  constexpr std::uint64_t kTiles = kSpace / kCols;
+  struct Family {
+    const char* label;
+    const char* spec;
+  };
+  constexpr Family kFamilies[] = {
+      {"accurate", "accurate"},  {"realm", "realm:m=16,t=4"},
+      {"calm", "calm"},          {"mbm", "mbm:t=4"},
+      {"drum", "drum:k=6"},      {"ssm", "ssm:m=8"},
+      {"essm", "essm:m=8"},      {"alm_soa", "alm-soa:m=11"},
+      {"alm_maa", "alm-maa:m=11"}, {"implm", "implm"},
+      {"intalp_l1", "intalp:l=1"}, {"intalp_l2", "intalp:l=2"},
+      {"am1", "am1:nb=9"},       {"am2", "am2:nb=9"},
+  };
+
+  std::vector<std::uint64_t> rows(2 * kRows), cols(kSpace), out(kCols);
+  for (std::uint64_t i = 0; i < kRows; ++i) {
+    rows[i] = rows[i + kRows] = 1 + (i * (kSpace - 2)) / (kRows - 1);
+  }
+  for (std::uint64_t b = 0; b < kSpace; ++b) cols[b] = b;
+  const auto tile = [&](std::uint64_t i) { return (i % kTiles) * kCols; };
+  volatile std::uint64_t guard = 0;  // keep the products live
+  const auto ms = [](auto&& fn) { return 1e3 * best_seconds(fn, 5, 5); };
+
+  std::printf("\nper-family ladder, %d bits, %llu x %llu products, 1 thread, best of 5 (ms):\n",
+              kLadderWidth, static_cast<unsigned long long>(kRows),
+              static_cast<unsigned long long>(kCols));
+  std::printf("  %-10s %-15s %9s %9s %9s %9s %11s\n", "family", "spec", "scalar",
+              "pairwise", "row", "range", "row/scalar");
+  for (const Family& f : kFamilies) {
+    const auto m = mult::make_multiplier(f.spec, kLadderWidth);
+    const double scalar_ms = ms([&] {
+      for (std::uint64_t i = 0; i < kRows; ++i) {
+        const std::uint64_t b0 = tile(i);
+        for (std::uint64_t j = 0; j < kCols; ++j) out[j] = m->multiply(rows[i], b0 + j);
+        guard = out[kCols - 1];
+      }
+    });
+    const double pairwise_ms = ms([&] {
+      for (std::uint64_t i = 0; i < kRows; ++i) {
+        m->multiply_batch(&rows[i], &cols[tile(i)], out.data(), kCols);
+        guard = out[kCols - 1];
+      }
+    });
+    const double row_ms = ms([&] {
+      for (std::uint64_t i = 0; i < kRows; ++i) {
+        m->multiply_row_batch(rows[i], &cols[tile(i)], out.data(), kCols);
+        guard = out[kCols - 1];
+      }
+    });
+    const double range_ms = ms([&] {
+      for (std::uint64_t i = 0; i < kRows; ++i) {
+        m->multiply_row_range(rows[i], tile(i), out.data(), kCols);
+        guard = out[kCols - 1];
+      }
+    });
+    std::printf("  %-10s %-15s %9.2f %9.2f %9.2f %9.2f %10.1fx\n", f.label, f.spec,
+                scalar_ms, pairwise_ms, row_ms, range_ms, scalar_ms / row_ms);
+    const std::string key = std::string{"ladder."} + f.label;
+    sink.meta(key + ".spec", f.spec);
+    sink.metric(key + ".scalar_ms", scalar_ms);
+    sink.metric(key + ".pairwise_ms", pairwise_ms);
+    sink.metric(key + ".row_ms", row_ms);
+    sink.metric(key + ".range_ms", range_ms);
+  }
+  (void)guard;
 }
 
 bool metrics_identical(const err::ErrorMetrics& x, const err::ErrorMetrics& y) {
@@ -215,6 +306,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rep.max_peak.a),
               static_cast<unsigned long long>(rep.max_peak.b));
   (void)guard;
+
+  if (width == kLadderWidth) family_ladder(sink);
 
   sink.meta("config", spec);
   sink.meta("width", width);

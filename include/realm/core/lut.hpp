@@ -23,11 +23,20 @@ enum class Formulation {
   kMeanSquareError,    ///< the future-work variant (minimize MSE of E~rel).
 };
 
+/// Caps on the correction-table parameters, far above anything the paper or
+/// the benches use: the LUT holds M^2 factors whose derivation costs O(M^2)
+/// time and memory (M = 2^14 asks for gigabytes), and q past 62 overflows
+/// the quantization shifts (MBM's 32-bit correction already wraps past 34).
+/// Every constructor taking M or q enforces them, as does the spec parser.
+inline constexpr int kMaxLutSegments = 256;
+inline constexpr int kMaxCorrectionBits = 30;
+
 class SegmentLut {
  public:
   /// Builds the table for an M×M partitioning quantized to q fraction bits.
-  /// M must be a power of two >= 2 (its log2 selects fraction MSBs); q must
-  /// be >= 3.  Throws std::invalid_argument otherwise.
+  /// M must be a power of two in [2, kMaxLutSegments] (its log2 selects
+  /// fraction MSBs); q must be in [3, kMaxCorrectionBits].  Throws
+  /// std::invalid_argument otherwise.
   SegmentLut(int m, int q, Formulation f = Formulation::kMeanRelativeError);
 
   /// Process-wide cache of derived tables, keyed by (m, q, formulation).

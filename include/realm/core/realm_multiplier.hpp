@@ -34,9 +34,9 @@ namespace realm::core {
 
 struct RealmConfig {
   int n = 16;  ///< operand width N (2..31)
-  int m = 16;  ///< segments per power-of-two-interval, power of two >= 2
+  int m = 16;  ///< segments per power-of-two-interval, power of two in [2, 256]
   int t = 0;   ///< truncated fraction LSBs (0 .. N-2-log2(M))
-  int q = 6;   ///< LUT quantization bits (>= 3)
+  int q = 6;   ///< LUT quantization bits (3..30)
   Formulation formulation = Formulation::kMeanRelativeError;
 
   /// Fraction width actually carried by the datapath: N-1-t bits.

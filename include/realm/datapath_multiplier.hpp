@@ -1,8 +1,9 @@
 // One datapath per multiplier family.
 //
-// Every batched entry point of a kernel family (REALM, cALM, MBM, DRUM,
-// SSM, ESSM, accurate) is generated here from three pieces the family
-// writes once, as a plain value type `Datapath`:
+// Every batched entry point of every library design (REALM, cALM, ALM-SOA/
+// MAA, ImpLM, IntALP, MBM, DRUM, SSM, ESSM, AM1/AM2, accurate) is generated
+// here from three pieces the family writes once, as a plain value type
+// `Datapath`:
 //
 //   Row      prepare(a)            the fixed operand's half of the datapath
 //                                  (leading one, truncated fraction, LUT row,

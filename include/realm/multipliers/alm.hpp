@@ -12,16 +12,19 @@
 //     low-part bits.  We only have this paper's description of [9], so MAA is
 //     reimplemented from the LOA semantics its family shares; DESIGN.md
 //     records the substitution.
+//
+// The batched kernels are cALM's datapath with the approximate fraction
+// adder switched in (AlmDatapath, mitchell.hpp).
 
 #pragma once
 
-#include "realm/multiplier.hpp"
+#include "realm/multipliers/mitchell.hpp"
 
 namespace realm::mult {
 
 enum class AlmAdder { kSetOne, kLowerOr };
 
-class AlmMultiplier final : public Multiplier {
+class AlmMultiplier final : public DatapathMultiplier<AlmDatapath> {
  public:
   /// n: operand width; m: approximate low bits of the fraction adder
   /// (0 <= m <= n-1); adder: which approximate adder variant.

@@ -16,13 +16,44 @@
 
 #pragma once
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
 enum class AmVariant { kAm1, kAm2 };
 
-class AmMultiplier final : public Multiplier {
+/// AM1/AM2's half of the generated batched kernels
+/// (realm/datapath_multiplier.hpp): the partial-product rows reduced by a
+/// fixed-depth pairwise tree in a std::array, with no heap allocation.  The
+/// tree is padded with zero rows to `rows`, a power of two >= N: pairing a
+/// row with a zero row passes it through unchanged with a zero error vector,
+/// exactly as multiply() carries the odd row of a level, so the padded tree
+/// gives the same sum and error.  Zero operands give zero rows, hence zero.
+struct AmDatapath {
+  static constexpr bool kZeroSafe = true;
+  static constexpr std::uint64_t kMaxRows = 32;
+  using Row = std::uint64_t;
+  std::uint64_t rows;        ///< padded tree width: a power of two, N <= rows <= 32
+  std::uint64_t recov_mask;  ///< product columns with error recovery
+  std::uint64_t out_mask;    ///< the 2N-bit product bus
+  bool am1;                  ///< exact (AM1) or OR (AM2) error accumulation
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const { return a; }
+  [[gnu::always_inline]] inline std::uint64_t apply(Row a, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(Row a, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::AmDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class AmMultiplier final : public DatapathMultiplier<AmDatapath> {
  public:
   /// n: operand width; nb: number of most-significant product columns with
   /// error recovery, 0 <= nb <= 2n.

@@ -10,11 +10,45 @@
 
 #pragma once
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
-class ImplmMultiplier final : public Multiplier {
+/// ImpLM's half of the generated batched kernels (realm/datapath_multiplier.hpp).
+/// An operand v anchored at its nearest power of two 2^k is carried as
+/// (v << w) >> k = 2^w (1 + f): v << w stays below 2^59 for N <= 30, so the
+/// signed fraction needs no wider lane, and the significand 1 + fa + fb is
+/// ra + rb - 2^w.
+struct ImplmDatapath {
+  struct Row {
+    std::uint64_t r;     ///< fixed operand as 2^w (1 + fa)
+    std::int64_t dbase;  ///< its anchor minus w
+  };
+  std::uint64_t w, one_w;
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const;
+  [[gnu::always_inline]] inline std::uint64_t apply(const Row& row, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(const Row& row, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+
+ private:
+  /// out[i] = apply(row, b_first + i) for columns all anchored at 2^k.
+  [[gnu::always_inline]] inline void anchored_run(const Row& row, std::uint64_t k,
+                                                  std::uint64_t b_first,
+                                                  std::uint64_t* __restrict out,
+                                                  std::uint64_t n) const;
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::ImplmDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class ImplmMultiplier final : public DatapathMultiplier<ImplmDatapath> {
  public:
   explicit ImplmMultiplier(int n = 16);
 

@@ -19,11 +19,53 @@
 #include <array>
 #include <cstdint>
 
-#include "realm/multiplier.hpp"
+#include "realm/datapath_multiplier.hpp"
 
 namespace realm::mult {
 
-class IntAlpMultiplier final : public Multiplier {
+/// IntALP's half of the generated batched kernels
+/// (realm/datapath_multiplier.hpp).  The level-1 comparator is a select; the
+/// level-2 correction (ax·x + ay·y + c) >> kCoeffBits takes its plane from
+/// the (x, y) MSB quadrant, so prepare() folds the fixed operand's x half
+/// into one constant per y quadrant and apply() picks between the two.  At
+/// level 1 every coefficient is zero and the correction vanishes.  The
+/// significand stays below 4 · 2^w, so a 64-bit lane holds every value.
+struct IntAlpDatapath {
+  static constexpr int kCoeffBits = 10;  ///< Q format of the plane coefficients
+  struct Plane {
+    std::int64_t ax, ay, c;  ///< Q(kCoeffBits) fixed-point coefficients
+  };
+  struct Row {
+    std::uint64_t xf;               ///< fixed operand's fraction in Q(w)
+    std::int64_t dbase;             ///< ka - w
+    std::int64_t base_lo, base_hi;  ///< ax·x + c·2^w for y's MSB clear / set
+    std::int64_t ay_lo, ay_hi;      ///< ay for y's MSB clear / set
+  };
+  std::uint64_t w, one_w;
+  std::array<Plane, 4> planes{};  ///< level-2 residual planes, indexed qx * 2 + qy;
+                                  ///< all zero at level 1
+
+  [[gnu::always_inline]] inline Row prepare(std::uint64_t a) const;
+  [[gnu::always_inline]] inline std::uint64_t apply(const Row& row, std::uint64_t b) const;
+  [[gnu::always_inline]] inline void segment(const Row& row, int kb, std::uint64_t b_first,
+                                             std::uint64_t* __restrict out,
+                                             std::size_t n) const;
+
+ private:
+  /// 2^w (1 + x + y + p): the significand before the final shift.
+  [[gnu::always_inline]] inline std::uint64_t significand(const Row& row,
+                                                          std::uint64_t yf) const;
+};
+
+}  // namespace realm::mult
+
+namespace realm {
+extern template class DatapathMultiplier<mult::IntAlpDatapath>;
+}  // namespace realm
+
+namespace realm::mult {
+
+class IntAlpMultiplier final : public DatapathMultiplier<IntAlpDatapath> {
  public:
   /// n: operand width; level: 1 or 2 approximation levels.
   IntAlpMultiplier(int n, int level);
@@ -33,14 +75,11 @@ class IntAlpMultiplier final : public Multiplier {
   [[nodiscard]] int width() const override { return n_; }
 
  private:
-  struct Plane {
-    std::int64_t ax, ay, c;  // Q(kCoeffBits) fixed-point coefficients
-  };
-  static constexpr int kCoeffBits = 10;
+  using Plane = IntAlpDatapath::Plane;
+  static constexpr int kCoeffBits = IntAlpDatapath::kCoeffBits;
 
   int n_;
   int level_;
-  std::array<Plane, 4> quadrant_planes_{};  // level-2 residual correction
 };
 
 }  // namespace realm::mult

@@ -43,9 +43,10 @@
 //   kExhaustiveRows     rows with fixed-operand work hoisted by the tiled
 //                       exhaustive engine (one per multiply_row_range row)
 //   kExhaustiveTiles    row×column tiles executed by the exhaustive engine
-//   kRowFallbackBatches 1024-column blocks of multiply_row_batch /
-//                       multiply_row_range served by the base-class loop
-//                       over multiply() (designs without a row kernel)
+//   kRowFallbackBatches reads 0: every design's batch shapes are generated
+//                       kernels (Multiplier has no fallback loop), so
+//                       nothing increments it; kept because the stats
+//                       documents and perfbench readers name it
 //   kDctBlocksBatched   8x8 blocks transformed by the panel DCT/IDCT engine
 //                       (forward + inverse; counted once per panel call)
 //   kNnMacsBatched      fixed-point MLP MACs issued through the batched

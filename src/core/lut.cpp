@@ -40,10 +40,12 @@ std::shared_ptr<const SegmentLut> SegmentLut::shared(int m, int q, Formulation f
 
 SegmentLut::SegmentLut(int m, int q, Formulation f)
     : m_{m}, q_{q}, log2m_{0}, formulation_{f} {
-  if (m < 2 || !std::has_single_bit(static_cast<unsigned>(m))) {
-    throw std::invalid_argument("SegmentLut: M must be a power of two >= 2");
+  if (m < 2 || m > kMaxLutSegments || !std::has_single_bit(static_cast<unsigned>(m))) {
+    throw std::invalid_argument("SegmentLut: M must be a power of two in [2, 256]");
   }
-  if (q < 3) throw std::invalid_argument("SegmentLut: q must be >= 3");
+  if (q < 3 || q > kMaxCorrectionBits) {
+    throw std::invalid_argument("SegmentLut: q must be in [3, 30]");
+  }
   log2m_ = num::clog2(static_cast<std::uint64_t>(m));
 
   exact_ = (f == Formulation::kMeanRelativeError) ? segment_factor_table(m)

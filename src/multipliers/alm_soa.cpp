@@ -11,6 +11,20 @@ AlmMultiplier::AlmMultiplier(int n, int m, AlmAdder adder)
     : n_{n}, m_{m}, adder_{adder} {
   if (n < 2 || n > 31) throw std::invalid_argument("AlmMultiplier: N in [2, 31]");
   if (m < 0 || m > n - 1) throw std::invalid_argument("AlmMultiplier: m in [0, N-1]");
+  const auto w = static_cast<std::uint64_t>(n - 1);
+  const std::uint64_t lo_mask = num::mask(m);
+  const bool soa = adder == AlmAdder::kSetOne;
+  dp_ = AlmDatapath{.w = w,
+                    .t = 0,
+                    .f = w,
+                    .fmask = num::mask(n - 1),
+                    .one_f = std::uint64_t{1} << w,
+                    .one_w = std::uint64_t{1} << w,
+                    .m = static_cast<std::uint64_t>(m),
+                    .lo_set = soa ? lo_mask : 0,
+                    .lo_or = soa ? 0 : lo_mask,
+                    .carry_shift = static_cast<std::uint64_t>(m > 0 ? m - 1 : 0),
+                    .carry_mask = static_cast<std::uint64_t>(!soa && m > 0)};
 }
 
 std::uint64_t AlmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {

@@ -1,5 +1,6 @@
 #include "realm/multipliers/implm.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -7,9 +8,53 @@
 #include "realm/numeric/int128.hpp"
 
 namespace realm::mult {
+namespace {
+
+/// Nearest-one detector in a 64-bit lane: the leading one k, plus one when
+/// bit k-1 is set.  Bit k-1 of v is bit k of v << 1, which is 0 for k = 0.
+[[gnu::always_inline]] inline std::uint64_t nearest_one(std::uint64_t v) {
+  const std::uint64_t k = datapath::leading_one(v);
+  return k + (((v << 1) >> k) & 1u);
+}
+
+}  // namespace
+
+ImplmDatapath::Row ImplmDatapath::prepare(std::uint64_t a) const {
+  const std::uint64_t k = nearest_one(a);
+  return {(a << w) >> k, static_cast<std::int64_t>(k) - static_cast<std::int64_t>(w)};
+}
+
+std::uint64_t ImplmDatapath::apply(const Row& row, std::uint64_t b) const {
+  const std::uint64_t k = nearest_one(b);
+  return datapath::shift(row.r + ((b << w) >> k) - one_w,
+                         row.dbase + static_cast<std::int64_t>(k));
+}
+
+void ImplmDatapath::anchored_run(const Row& row, std::uint64_t k, std::uint64_t b_first,
+                                 std::uint64_t* __restrict out, std::uint64_t n) const {
+  const auto [shl, shr] = datapath::shift_pair(row.dbase + static_cast<std::int64_t>(k));
+  const std::uint64_t base = row.r - one_w;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    out[i] = ((base + (((b_first + i) << w) >> k)) << shl) >> shr;
+  }
+}
+
+// Within [2^kb, 2^(kb+1)) the anchor is kb below 1.5 · 2^kb and kb + 1 from
+// there on, so the segment splits into two runs with constant shifts.
+void ImplmDatapath::segment(const Row& row, int kb, std::uint64_t b_first,
+                            std::uint64_t* __restrict out, std::size_t n) const {
+  const std::uint64_t end = b_first + n;
+  const std::uint64_t upper = kb == 0 ? end : (std::uint64_t{3} << kb) >> 1;
+  const std::uint64_t split = std::clamp(upper, b_first, end);
+  const auto k = static_cast<std::uint64_t>(kb);
+  anchored_run(row, k, b_first, out, split - b_first);
+  anchored_run(row, k + 1, split, out + (split - b_first), end - split);
+}
 
 ImplmMultiplier::ImplmMultiplier(int n) : n_{n} {
   if (n < 2 || n > 30) throw std::invalid_argument("ImplmMultiplier: N in [2, 30]");
+  const auto w = static_cast<std::uint64_t>(n - 1);
+  dp_ = ImplmDatapath{.w = w, .one_w = std::uint64_t{1} << w};
 }
 
 std::uint64_t ImplmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const {
@@ -40,3 +85,5 @@ std::uint64_t ImplmMultiplier::multiply(std::uint64_t a, std::uint64_t b) const 
 }
 
 }  // namespace realm::mult
+
+template class realm::DatapathMultiplier<realm::mult::ImplmDatapath>;

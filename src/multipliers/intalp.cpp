@@ -49,9 +49,57 @@ std::array<double, 3> fit_plane(const num::Fn2& f, double x0, double x1, double 
 
 }  // namespace
 
+// multiply() in 64-bit lanes: xf = (a << (w - ka)) ^ 2^w as in cALM, the
+// quadrant bit is the fraction MSB, and the comparator and quadrant lookups
+// are selects.
+
+IntAlpDatapath::Row IntAlpDatapath::prepare(std::uint64_t a) const {
+  const std::uint64_t ka = datapath::leading_one(a);
+  const std::uint64_t xf = (a << (w - ka)) ^ one_w;
+  const bool qx = ((xf >> (w - 1)) & 1u) != 0;
+  const auto x = static_cast<std::int64_t>(xf);
+  const auto one = static_cast<std::int64_t>(one_w);
+  // Field-wise selects: selecting a Plane reference would become a gather.
+  return {xf,
+          static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(w),
+          (qx ? planes[2].ax : planes[0].ax) * x + (qx ? planes[2].c : planes[0].c) * one,
+          (qx ? planes[3].ax : planes[1].ax) * x + (qx ? planes[3].c : planes[1].c) * one,
+          qx ? planes[2].ay : planes[0].ay,
+          qx ? planes[3].ay : planes[1].ay};
+}
+
+std::uint64_t IntAlpDatapath::significand(const Row& row, std::uint64_t yf) const {
+  const std::uint64_t s = row.xf + yf;
+  const std::uint64_t p = (s < one_w) ? (s >> 2) : ((3 * s - 2 * one_w) >> 2);
+  const bool qy = ((yf >> (w - 1)) & 1u) != 0;
+  const std::int64_t corr =
+      ((qy ? row.base_hi : row.base_lo) + (qy ? row.ay_hi : row.ay_lo) *
+                                              static_cast<std::int64_t>(yf)) >>
+      kCoeffBits;
+  return one_w + s + p + static_cast<std::uint64_t>(corr);
+}
+
+std::uint64_t IntAlpDatapath::apply(const Row& row, std::uint64_t b) const {
+  const std::uint64_t kb = datapath::leading_one(b);
+  return datapath::shift(significand(row, (b << (w - kb)) ^ one_w),
+                         row.dbase + static_cast<std::int64_t>(kb));
+}
+
+// Constant kb: a fixed normalize shift and a fixed final shift.
+void IntAlpDatapath::segment(const Row& row, int kb, std::uint64_t b_first,
+                             std::uint64_t* __restrict out, std::size_t n) const {
+  const std::uint64_t norm_shift = w - static_cast<std::uint64_t>(kb);
+  const auto [shl, shr] = datapath::shift_pair(row.dbase + kb);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = (significand(row, ((b_first + i) << norm_shift) ^ one_w) << shl) >> shr;
+  }
+}
+
 IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
   if (n < 3 || n > 24) throw std::invalid_argument("IntAlpMultiplier: N in [3, 24]");
   if (level != 1 && level != 2) throw std::invalid_argument("IntAlpMultiplier: level 1 or 2");
+  const auto w = static_cast<std::uint64_t>(n - 1);
+  dp_ = IntAlpDatapath{.w = w, .one_w = std::uint64_t{1} << w};
   if (level_ == 2) {
     // Residual of level 1, fitted per (x, y) MSB quadrant and quantized.
     // The residual is symmetric in (x, y), so the off-diagonal quadrant
@@ -66,9 +114,8 @@ IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
         const Plane plane{static_cast<std::int64_t>(std::lround(p[0] * scale)),
                           static_cast<std::int64_t>(std::lround(p[1] * scale)),
                           static_cast<std::int64_t>(std::lround(p[2] * scale))};
-        quadrant_planes_[static_cast<std::size_t>(qx * 2 + qy)] = plane;
-        quadrant_planes_[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax,
-                                                                   plane.c};
+        dp_.planes[static_cast<std::size_t>(qx * 2 + qy)] = plane;
+        dp_.planes[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax, plane.c};
       }
     }
   }
@@ -94,7 +141,7 @@ std::uint64_t IntAlpMultiplier::multiply(std::uint64_t a, std::uint64_t b) const
   if (level_ == 2) {
     const auto qx = static_cast<int>((xf >> (w - 1)) & 1);
     const auto qy = static_cast<int>((yf >> (w - 1)) & 1);
-    const Plane& pl = quadrant_planes_[static_cast<std::size_t>(qx * 2 + qy)];
+    const Plane& pl = dp_.planes[static_cast<std::size_t>(qx * 2 + qy)];
     p += (pl.ax * xf + pl.ay * yf + pl.c * one) >> kCoeffBits;
   }
 
@@ -113,3 +160,5 @@ std::string IntAlpMultiplier::name() const {
 }
 
 }  // namespace realm::mult
+
+template class realm::DatapathMultiplier<realm::mult::IntAlpDatapath>;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "realm/core/lut.hpp"
 #include "realm/core/segment_factors.hpp"
 #include "realm/numeric/bits.hpp"
 
@@ -47,7 +48,9 @@ void MbmDatapath::segment(const Row& row, int kb, std::uint64_t b_first,
 MbmMultiplier::MbmMultiplier(int n, int t, int q) : n_{n}, t_{t}, q_{q}, corr_units_{0} {
   if (n < 2 || n > 31) throw std::invalid_argument("MbmMultiplier: N in [2, 31]");
   if (t < 0 || t > n - 2) throw std::invalid_argument("MbmMultiplier: t in [0, N-2]");
-  if (q < 3) throw std::invalid_argument("MbmMultiplier: q >= 3");
+  if (q < 3 || q > core::kMaxCorrectionBits) {
+    throw std::invalid_argument("MbmMultiplier: q in [3, 30]");
+  }
   corr_units_ =
       static_cast<std::uint32_t>(std::lround(core::mbm_correction() * std::ldexp(1.0, q_)));
 

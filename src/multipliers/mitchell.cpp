@@ -10,17 +10,20 @@ namespace realm::mult {
 // Branchless form of multiply(): the normalize step uses
 // (a << (w - ka)) ^ (1 << w) — the leading one always lands on bit w, so the
 // clearing mask is loop-invariant.  With f = 0 (t = N-1), mask(0) = 0 makes
-// frac 0 and c_of = fsum, matching the scalar path's special case.
+// frac 0 and c_of = fsum, matching the scalar path's special case.  ALM runs
+// the same datapath at t = 0 with its approximate fraction adder.
 
-MitchellDatapath::Row MitchellDatapath::prepare(std::uint64_t a) const {
+template <bool kLowAdder>
+auto LogAddDatapath<kLowAdder>::prepare(std::uint64_t a) const -> Row {
   const std::uint64_t ka = datapath::leading_one(a);
   return {((a << (w - ka)) ^ one_w) >> t,
           static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(f)};
 }
 
-std::uint64_t MitchellDatapath::apply(const Row& row, std::uint64_t b) const {
+template <bool kLowAdder>
+std::uint64_t LogAddDatapath<kLowAdder>::apply(const Row& row, std::uint64_t b) const {
   const std::uint64_t kb = datapath::leading_one(b);
-  const std::uint64_t fsum = row.xf + (((b << (w - kb)) ^ one_w) >> t);
+  const std::uint64_t fsum = fraction_sum(row.xf, ((b << (w - kb)) ^ one_w) >> t);
   const std::uint64_t c_of = fsum >> f;
   return datapath::shift(one_f | (fsum & fmask),
                          row.dbase + static_cast<std::int64_t>(kb + c_of));
@@ -28,13 +31,15 @@ std::uint64_t MitchellDatapath::apply(const Row& row, std::uint64_t b) const {
 
 // Constant kb: no LOD, a fixed normalize shift, and the final barrel shift
 // reduced to two constant (shl, shr) pairs selected by the fraction carry.
-void MitchellDatapath::segment(const Row& row, int kb, std::uint64_t b_first,
-                               std::uint64_t* __restrict out, std::size_t n) const {
+template <bool kLowAdder>
+void LogAddDatapath<kLowAdder>::segment(const Row& row, int kb, std::uint64_t b_first,
+                                        std::uint64_t* __restrict out, std::size_t n) const {
   const std::uint64_t norm_shift = w - static_cast<std::uint64_t>(kb);
   const auto [shl0, shr0] = datapath::shift_pair(row.dbase + kb);
   const auto [shl1, shr1] = datapath::shift_pair(row.dbase + kb + 1);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t fsum = row.xf + ((((b_first + i) << norm_shift) ^ one_w) >> t);
+    const std::uint64_t fsum =
+        fraction_sum(row.xf, (((b_first + i) << norm_shift) ^ one_w) >> t);
     const std::uint64_t significand = one_f | (fsum & fmask);
     const std::uint64_t v0 = (significand << shl0) >> shr0;
     const std::uint64_t v1 = (significand << shl1) >> shr1;
@@ -85,3 +90,4 @@ std::string MitchellMultiplier::name() const {
 }  // namespace realm::mult
 
 template class realm::DatapathMultiplier<realm::mult::MitchellDatapath>;
+template class realm::DatapathMultiplier<realm::mult::AlmDatapath>;

@@ -46,11 +46,10 @@ struct Schema {
   std::span<const Param> params;
 };
 
-// REALM's LUT holds M^2 q-bit factors: its derivation costs O(M^2) time and
-// memory (M = 2^14 asks for gigabytes) and q past 62 overflows its shifts,
-// so both are capped far above anything the paper or the benches use.
-constexpr int kMaxLutSegments = 256;
-constexpr int kMaxCorrectionBits = 30;
+// The M and q caps are the constructors' own (core/lut.hpp), so a spec the
+// parser accepts never fails on them later.
+using core::kMaxCorrectionBits;
+using core::kMaxLutSegments;
 
 constexpr Param kRealmParams[] = {
     {"m", &DesignSpec::m, Presence::kPrinted, 16, kMaxLutSegments},

@@ -867,15 +867,17 @@ struct Server::Impl {
       bool error = false;
       try {
         reply = encode_frame(MsgType::kReplyOk, job.rq.seq, compute_body(job.rq));
-      } catch (const std::invalid_argument& e) {
-        obs::counter_add(obs::Counter::kNetFrameErrors, 1);
-        st.frame_errors.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_error(job.rq.seq, ErrorCode::kBadRequest, e.what());
-        error = true;
       } catch (const std::exception& e) {
+        // A rejected argument and a well-formed design its model cannot
+        // build (domain_error, e.g. a REALM LUT whose factors overflow the
+        // stored width) are the request's fault; anything else is ours.
+        const bool bad_request = dynamic_cast<const std::invalid_argument*>(&e) != nullptr ||
+                                 dynamic_cast<const std::domain_error*>(&e) != nullptr;
         obs::counter_add(obs::Counter::kNetFrameErrors, 1);
         st.frame_errors.fetch_add(1, std::memory_order_relaxed);
-        reply = encode_error(job.rq.seq, ErrorCode::kInternal, e.what());
+        reply = encode_error(job.rq.seq,
+                             bad_request ? ErrorCode::kBadRequest : ErrorCode::kInternal,
+                             e.what());
         error = true;
       }
       {

@@ -82,10 +82,9 @@ TEST(MultiplyBatch, RealmMatchesScalarAtOtherWidths) {
 }
 
 TEST(MultiplyBatch, EveryBaselineMatchesScalar) {
-  // Covers the generated pairwise kernels of the datapath families and the
-  // base-class loop of every other design in Table I.  Widths 24 and 31 put
-  // the masked shifts of the branchless datapaths at their widest amounts;
-  // specs unrealizable at a width are skipped there.
+  // Covers the generated pairwise kernel of every design in Table I.
+  // Widths 24 and 31 put the masked shifts of the branchless datapaths at
+  // their widest amounts; specs unrealizable at a width are skipped there.
   const auto table1 = mult::table1_specs();
   std::set<std::string> specs{table1.begin(), table1.end()};
   specs.insert("accurate");

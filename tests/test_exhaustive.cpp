@@ -37,14 +37,15 @@ using namespace realm;
 
 namespace {
 
-// The kernel families (pairwise, row and range kernels generated from one
-// datapath definition) plus a sample of designs on the base-class loops.
+// Every multiplier family (pairwise, row and range kernels generated from
+// one datapath definition), several configurations of the LUT families.
 const std::vector<std::string>& kernel_specs() {
   static const std::vector<std::string> specs = {
       "accurate",      "realm:m=16,t=0", "realm:m=16,t=4", "realm:m=8,t=2",
       "realm:m=4,t=9", "calm",           "mbm:t=4",        "mbm:t=0",
       "drum:k=6",      "ssm:m=10",       "essm:m=8",       "implm",
-      "intalp:l=1",    "alm-soa:m=11",
+      "intalp:l=1",    "intalp:l=2",     "alm-soa:m=11",   "alm-maa:m=11",
+      "am1:nb=9",      "am2:nb=9",
   };
   return specs;
 }
@@ -178,20 +179,29 @@ TEST(RowKernels, RangeCoversFullSpaceEdges) {
   }
 }
 
-TEST(RowKernels, FallbackPathCountsForwardedBatches) {
-  // A design without a row kernel runs the base-class loop over multiply(),
-  // which tallies ceil(n / 1024) blocks per call.
+TEST(RowKernels, NoDesignUsesAFallbackLoop) {
+  // Multiplier declares the three batch shapes pure virtual, so every
+  // design of Tables I and II runs its generated kernels; the retired
+  // fallback counter stays 0.
+  std::vector<std::string> specs = mult::table1_specs();
+  for (const auto& s : mult::table2_specs()) specs.push_back(s);
+  constexpr std::uint64_t kA = 40503;
+  std::vector<std::uint64_t> a(1500), b(1500), out(1500);
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    a[i] = (i * 7919) & 0xFFFF;
+    b[i] = i;
+  }
   obs::counters_reset();
-  const auto m = mult::make_multiplier("implm", 16);
-  std::vector<std::uint64_t> b(100), out(100);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = i;
-  m->multiply_row_batch(3, b.data(), out.data(), b.size());
-  EXPECT_GE(obs::counter_value(obs::Counter::kRowFallbackBatches), 1u);
-  // A kernel family never touches the base-class loop.
-  obs::counters_reset();
-  const auto r = mult::make_multiplier("realm:m=16,t=0", 16);
-  r->multiply_row_batch(3, b.data(), out.data(), b.size());
-  r->multiply_row_range(3, 0, out.data(), out.size());
+  for (const auto& spec : specs) {
+    SCOPED_TRACE(spec);
+    const auto m = mult::make_multiplier(spec, 16);
+    m->multiply_batch(a.data(), b.data(), out.data(), out.size());
+    EXPECT_EQ(out[1499], m->multiply(a[1499], b[1499]));
+    m->multiply_row_batch(kA, b.data(), out.data(), out.size());
+    EXPECT_EQ(out[1499], m->multiply(kA, b[1499]));
+    m->multiply_row_range(kA, 0, out.data(), out.size());
+    EXPECT_EQ(out[1499], m->multiply(kA, 1499));
+  }
   EXPECT_EQ(obs::counter_value(obs::Counter::kRowFallbackBatches), 0u);
 }
 

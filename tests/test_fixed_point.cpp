@@ -24,6 +24,18 @@ class CountingMultiplier final : public realm::Multiplier {
     ++calls;
     return a * b;
   }
+  void multiply_batch(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* out,
+                      std::size_t n) const override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a[i], b[i]);
+  }
+  void multiply_row_batch(std::uint64_t a, const std::uint64_t* b, std::uint64_t* out,
+                          std::size_t n) const override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a, b[i]);
+  }
+  void multiply_row_range(std::uint64_t a, std::uint64_t b0, std::uint64_t* out,
+                          std::size_t n) const override {
+    for (std::size_t i = 0; i < n; ++i) out[i] = multiply(a, b0 + i);
+  }
   std::string name() const override { return "counting"; }
   int width() const override { return 16; }
   mutable int calls = 0;

@@ -61,6 +61,16 @@ TEST(SegmentLut, RejectsInvalidConfigurations) {
   EXPECT_THROW((void)core::SegmentLut(8, 6).units(0, -1), std::out_of_range);
 }
 
+TEST(SegmentLut, RejectsParametersPastTheCaps) {
+  // Direct callers get the spec parser's caps (M <= 256, q <= 30) too: an
+  // M = 2^20 table alone would need terabytes.
+  EXPECT_THROW(core::SegmentLut(512, 6), std::invalid_argument);
+  EXPECT_THROW(core::SegmentLut(1 << 20, 6), std::invalid_argument);
+  EXPECT_THROW(core::SegmentLut(8, 31), std::invalid_argument);
+  EXPECT_THROW((void)core::SegmentLut::shared(512, 6), std::invalid_argument);
+  EXPECT_NO_THROW(core::SegmentLut(8, core::kMaxCorrectionBits));
+}
+
 TEST(SegmentLut, MseFormulationAlsoFitsHardwareLayout) {
   const core::SegmentLut lut{8, 6, core::Formulation::kMeanSquareError};
   EXPECT_EQ(lut.formulation(), core::Formulation::kMeanSquareError);

@@ -12,6 +12,7 @@
 #include "realm/campaign/cached_eval.hpp"
 #include "realm/multipliers/accurate.hpp"
 #include "realm/multipliers/drum.hpp"
+#include "realm/multipliers/mbm.hpp"
 #include "realm/multipliers/mitchell.hpp"
 #include "realm/multipliers/ssm.hpp"
 #include "realm/numeric/rng.hpp"
@@ -158,6 +159,15 @@ TEST(AllDesigns, OutputNeverExceedsProductEnvelope) {
           << spec;
     }
   }
+}
+
+TEST(Mbm, RejectsCorrectionBitsPastTheCap) {
+  // Past q = 34 the 32-bit correction wraps and past q = 65 the alignment
+  // shifts overflow, so direct callers get the parser's q <= 30 cap.
+  EXPECT_THROW(mult::MbmMultiplier(16, 0, 31), std::invalid_argument);
+  EXPECT_THROW(mult::MbmMultiplier(16, 0, 70), std::invalid_argument);
+  EXPECT_THROW(mult::MbmMultiplier(16, 0, 2), std::invalid_argument);
+  EXPECT_NO_THROW(mult::MbmMultiplier(16, 0, 30));
 }
 
 TEST(IntAlp, Level1IsOneSidedPositive) {

@@ -530,6 +530,25 @@ TEST(NetServer, BadSpecIsBadRequestOnTheLoop) {
   EXPECT_EQ(c.call(MsgType::kPing, ++seq, {}).type, MsgType::kReplyOk);
 }
 
+// A well-formed spec whose model cannot be built (REALM's LUT factors
+// overflow the stored width: SegmentLut throws std::domain_error) is the
+// client's error, answered kBadRequest by the executor.
+TEST(NetServer, UnbuildableSpecIsBadRequest) {
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  std::uint64_t seq = 0;
+  for (const auto& [type, body] :
+       {std::pair{MsgType::kCharacterizeMc, mc_body("realm:m=32,t=0", 16, 64, 1)},
+        std::pair{MsgType::kMultiplyBatch, multiply_body("realm:m=32,t=0", 16, {3}, {5})}}) {
+    const Frame r = c.call(type, ++seq, body);
+    ASSERT_EQ(r.type, MsgType::kReplyError);
+    const net::ErrorReply e = net::parse_error(r.body);
+    EXPECT_EQ(e.code, ErrorCode::kBadRequest) << e.message;
+  }
+  EXPECT_EQ(c.call(MsgType::kPing, ++seq, {}).type, MsgType::kReplyOk);
+}
+
 // Two spellings of one design share one campaign key: the second is a warm
 // hit served with the first one's stored bytes.
 TEST(NetServer, SpecSpellingsShareOneWarmKey) {

@@ -153,6 +153,13 @@ TEST(RealmMultiplier, ConfigValidation) {
   EXPECT_NO_THROW(make(16, 11));                          // f = 4 = select bits: ok
 }
 
+TEST(RealmMultiplier, RejectsConfigsPastTheLutCaps) {
+  EXPECT_THROW(make(512, 0), std::invalid_argument);          // M > 256
+  EXPECT_THROW(make(1 << 20, 0), std::invalid_argument);
+  EXPECT_THROW(make(8, 0, 16, 31), std::invalid_argument);    // q > 30
+  EXPECT_THROW(make(8, 0, 16, 65), std::invalid_argument);
+}
+
 TEST(RealmMultiplier, NameEncodesConfiguration) {
   EXPECT_EQ(make(16, 0).name(), "REALM16 (t=0)");
   EXPECT_EQ(make(4, 9).name(), "REALM4 (t=9)");

@@ -6,7 +6,7 @@ Usage: check_bench_schema.py FILE [FILE ...]
        check_bench_schema.py --equal-metric FILE_A FILE_B KEY
        check_bench_schema.py --min-counter FILE NAME MIN
        check_bench_schema.py --min-speedup FILE MIN [METRIC]
-       check_bench_schema.py --min-ratio FILE_A FILE_B KEY MIN
+       check_bench_schema.py --min-ratio FILE_A FILE_B KEY MIN [KEY_B]
        check_bench_schema.py --min-timeline FILE N
        check_bench_schema.py --min-window-count FILE MIN
 
@@ -37,7 +37,9 @@ snapshots — the CI smoke for --sample-hz actually sampling.
 equality — the serve smoke uses it to prove a warm pass's reply bytes match
 the cold pass's (metrics.reply_digest).  --min-ratio asserts
 metrics_B[KEY] / metrics_A[KEY] >= MIN — the serve smoke's warm-vs-cold
-request-rate floor.  --min-window-count reads a realm_top --once --json
+request-rate floor; with KEY_B the numerator is metrics_B[KEY_B], so one
+document can gate two of its own metrics (the exhaustive ladder's
+scalar_ms / row_ms floor).  --min-window-count reads a realm_top --once --json
 snapshot and asserts the summed slo_*_w10_count metrics cover at least MIN
 requests, with a matching _p99_us metric published for every non-empty
 window — the live-stats smoke's proof that the SLO ring actually recorded
@@ -275,22 +277,24 @@ def equal_metric(path_a, path_b, key):
     return 0
 
 
-def min_ratio(path_a, path_b, key, minimum):
+def min_ratio(path_a, path_b, key, minimum, key_b=None):
+    key_b = key_b or key
     a, b = load(path_a).get("metrics"), load(path_b).get("metrics")
     va = a.get(key) if isinstance(a, dict) else None
-    vb = b.get(key) if isinstance(b, dict) else None
-    for path, v in ((path_a, va), (path_b, vb)):
+    vb = b.get(key_b) if isinstance(b, dict) else None
+    for path, k, v in ((path_a, key, va), (path_b, key_b, vb)):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            print(f"FAIL {path}: metric {key!r} missing or not a number")
+            print(f"FAIL {path}: metric {k!r} missing or not a number")
             return 1
     if va <= 0:
         print(f"FAIL {path_a}: metric {key} = {va} is not positive")
         return 1
     ratio = vb / va
+    what = key if key_b == key else f"{key_b} / {key}"
     if ratio < minimum:
-        print(f"FAIL {key}: {path_b} / {path_a} = {ratio:.2f} < required {minimum}")
+        print(f"FAIL {what}: {path_b} / {path_a} = {ratio:.2f} < required {minimum}")
         return 1
-    print(f"ok   {key}: {path_b} / {path_a} = {ratio:.2f} >= {minimum}")
+    print(f"ok   {what}: {path_b} / {path_a} = {ratio:.2f} >= {minimum}")
     return 0
 
 
@@ -382,11 +386,12 @@ def main(argv):
                 return 2
             return equal_metric(argv[2], argv[3], argv[4])
         if argv[1] == "--min-ratio":
-            if len(argv) != 6:
-                print("usage: check_bench_schema.py --min-ratio FILE_A FILE_B KEY MIN",
-                      file=sys.stderr)
+            if len(argv) not in (6, 7):
+                print("usage: check_bench_schema.py --min-ratio FILE_A FILE_B KEY MIN"
+                      " [KEY_B]", file=sys.stderr)
                 return 2
-            return min_ratio(argv[2], argv[3], argv[4], float(argv[5]))
+            return min_ratio(argv[2], argv[3], argv[4], float(argv[5]),
+                             argv[6] if len(argv) == 7 else None)
         if argv[1] == "--min-counter":
             if len(argv) != 5:
                 print("usage: check_bench_schema.py --min-counter FILE NAME MIN",
