@@ -98,6 +98,11 @@ struct SynthesisResult {
   double delay_ps = 0.0;
 };
 
+/// Calibrated cost + timing of one design, computed directly: the unit that
+/// cached_synthesis memoizes and the serving layer's synthesis job.
+[[nodiscard]] SynthesisResult compute_synthesis(hw::CostModel& cm,
+                                                const std::string& spec, int n);
+
 /// Calibrated cost + timing through the campaign store.  `model` is invoked
 /// lazily, only when a unit actually misses — a fully warm sweep never pays
 /// the CostModel's accurate-reference calibration.

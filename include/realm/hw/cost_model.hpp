@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <string>
 
@@ -28,9 +29,19 @@ struct DesignCost {
 
 class CostModel {
  public:
-  /// Builds and characterizes the accurate reference for n-bit operands and
-  /// derives the calibration factors.
+  /// Capacity of the process-wide calibration memo (see the constructor).
+  static constexpr std::size_t kCalibrationMemoCapacity = 64;
+
+  /// Derives the calibration factors from the accurate reference for n-bit
+  /// operands.  The reference's raw area and power come from a process-wide
+  /// memo keyed by n and every profile field except `threads` (which never
+  /// changes a report), so each stimulus profile simulates the reference once
+  /// per process; a hit is bit-identical to a fresh calibration.
   explicit CostModel(int n = 16, StimulusProfile profile = {});
+
+  /// Entries currently held by the calibration memo (at most
+  /// kCalibrationMemoCapacity).
+  [[nodiscard]] static std::size_t calibration_memo_size();
 
   [[nodiscard]] int width() const noexcept { return n_; }
   [[nodiscard]] const DesignCost& accurate() const noexcept { return accurate_; }

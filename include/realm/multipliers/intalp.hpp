@@ -27,18 +27,20 @@ namespace realm::mult {
 /// (realm/datapath_multiplier.hpp).  The level-1 comparator is a select; the
 /// level-2 correction (ax·x + ay·y + c) >> kCoeffBits takes its plane from
 /// the (x, y) MSB quadrant, so prepare() folds the fixed operand's x half
-/// into one constant per y quadrant and apply() picks between the two.  At
-/// level 1 every coefficient is zero and the correction vanishes.  The
+/// into one constant per y quadrant and apply() picks between the two.  The
+/// plane constant is stored pre-scaled by 2^w, so no datapath multiplies it.
+/// At level 1 every coefficient is zero and the correction vanishes.  The
 /// significand stays below 4 · 2^w, so a 64-bit lane holds every value.
 struct IntAlpDatapath {
   static constexpr int kCoeffBits = 10;  ///< Q format of the plane coefficients
   struct Plane {
-    std::int64_t ax, ay, c;  ///< Q(kCoeffBits) fixed-point coefficients
+    std::int64_t ax, ay;  ///< Q(kCoeffBits) fixed-point slopes
+    std::int64_t cw;      ///< the Q(kCoeffBits) constant times 2^w
   };
   struct Row {
     std::uint64_t xf;               ///< fixed operand's fraction in Q(w)
     std::int64_t dbase;             ///< ka - w
-    std::int64_t base_lo, base_hi;  ///< ax·x + c·2^w for y's MSB clear / set
+    std::int64_t base_lo, base_hi;  ///< ax·x + cw for y's MSB clear / set
     std::int64_t ay_lo, ay_hi;      ///< ay for y's MSB clear / set
   };
   std::uint64_t w, one_w;

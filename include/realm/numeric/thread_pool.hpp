@@ -6,6 +6,12 @@
 // the 65-design Fig. 4 run.  This pool is created once (lazily) and reused
 // for every subsequent parallel region.
 //
+// Several regions may be open at once: each run() publishes its region to a
+// short list and drains it itself, and an idle worker joins the open region
+// that has the fewest active helpers (up to that region's parallelism - 1).
+// Two callers — say, the serving layer's two executors — therefore share the
+// workers instead of one of them running its whole job on one core.
+//
 // Determinism contract: the pool only *executes* tasks — which shard runs on
 // which OS thread never influences results.  Callers that need reproducible
 // output must (and in this library do) partition work and merge results by
@@ -22,7 +28,7 @@ class ThreadPool {
  public:
   /// Creates `workers` background threads.  The caller of run() always
   /// participates too, so a pool with W workers executes up to W+1 tasks
-  /// concurrently.
+  /// of one region concurrently.
   explicit ThreadPool(unsigned workers);
   ~ThreadPool();
 
@@ -33,10 +39,13 @@ class ThreadPool {
 
   /// Runs task(0) ... task(count-1), blocking until all complete.  At most
   /// `parallelism` tasks execute concurrently (0 = workers()+1); the calling
-  /// thread participates.  Concurrent run() calls from different threads are
-  /// safe: a caller that cannot acquire the pool executes its tasks inline,
-  /// which also makes nested run() calls deadlock-free.  The first exception
-  /// thrown by a task is rethrown on the caller after the region completes.
+  /// thread participates and, once every task is claimed, waits only for the
+  /// helpers still finishing theirs.  Concurrent run() calls from different
+  /// threads each get their own region, and a run() nested inside a task is
+  /// deadlock-free because its caller never waits on an unclaimed task.
+  /// Helpers adopt the caller's trace request id.  The first exception thrown
+  /// by one of this region's tasks is rethrown on this caller after the
+  /// region completes; other regions never see it.
   void run(std::size_t count, unsigned parallelism,
            const std::function<void(std::size_t)>& task);
 

@@ -19,10 +19,12 @@
 //   kPackedBlocks       packed-simulator work blocks (power/fault/equiv)
 //   kEquivPairs         circuit-vs-model operand pairs compared
 //   kFaultSitesDropped  fault sites dropped (detected) during ATPG
-//   kPoolRegions        ThreadPool::run calls dispatched to workers
+//   kPoolRegions        ThreadPool::run calls published to the workers
 //   kPoolTasksExecuted  tasks completed through ThreadPool::run (any path)
-//   kPoolTasksInline    tasks run inline because the pool was busy (the
-//                       previously invisible contention-fallback path)
+//   kPoolTasksInline    tasks of a parallel region that no worker joined,
+//                       so it ran on its caller alone: pool starvation
+//                       (every worker busy in other regions, or none woke
+//                       before the caller had claimed every task)
 //   kPoolTasksFailed    tasks that threw (first is rethrown, rest swallowed)
 //   kPoolQueueWaitNs    summed ns between region publish and worker start.
 //                       Since the histogram PR this is the *total* of the

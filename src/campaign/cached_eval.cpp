@@ -180,10 +180,7 @@ err::ExhaustiveReport cached_exhaustive(CampaignRunner* runner,
   return s;
 }
 
-namespace {
-
-[[nodiscard]] SynthesisResult compute_synthesis(hw::CostModel& cm,
-                                                const std::string& spec, int n) {
+SynthesisResult compute_synthesis(hw::CostModel& cm, const std::string& spec, int n) {
   SynthesisResult s;
   const hw::DesignCost& cost = cm.cost(spec);
   s.area_um2 = cost.area_um2;
@@ -193,6 +190,8 @@ namespace {
   s.delay_ps = hw::analyze_timing(hw::build_circuit(spec, n)).critical_path_ps;
   return s;
 }
+
+namespace {
 
 [[nodiscard]] std::string serialize_faults(const FaultSummary& f) {
   return PayloadWriter{}

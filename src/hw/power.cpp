@@ -84,24 +84,33 @@ PowerReport estimate_power_packed(const Module& module, const StimulusProfile& p
   const auto& ports = module.inputs();
   const std::uint32_t cycles = profile.cycles;
 
-  // States 0..cycles inclusive (state 0 is the scalar path's priming vector).
-  std::vector<std::vector<std::uint64_t>> states(
-      cycles + 1, std::vector<std::uint64_t>(ports.size(), 0));
+  // States 0..cycles inclusive (state 0 is the scalar path's priming vector),
+  // row-major in one flat (cycles + 1) x ports buffer.
+  const std::size_t np = ports.size();
+  std::vector<std::uint64_t> states((std::size_t{cycles} + 1) * np, 0);
   {
     REALM_TRACE_SCOPE("power/stimulus");
+    // uniform() < p is (draw >> 11) · 2^-53 < p; scaling both sides by 2^53
+    // is exact, so comparing the raw 53-bit draw against p · 2^53 consumes
+    // and decides exactly as run_stimulus does, without the multiply.
+    const double p_one = profile.probability * 0x1.0p53;
+    const double p_flip = profile.toggle_rate * 0x1.0p53;
     num::Xoshiro256 rng{profile.seed};
-    for (std::size_t p = 0; p < ports.size(); ++p) {
+    const auto draw = [&rng] { return static_cast<double>(rng() >> 11); };
+    for (std::size_t p = 0; p < np; ++p) {
       for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
-        if (rng.uniform() < profile.probability) states[0][p] |= std::uint64_t{1} << b;
+        states[p] |= std::uint64_t{draw() < p_one} << b;
       }
     }
-    for (std::uint32_t c = 1; c <= cycles; ++c) {
-      for (std::size_t p = 0; p < ports.size(); ++p) {
+    for (std::size_t c = 1; c <= cycles; ++c) {
+      const std::uint64_t* prev = &states[(c - 1) * np];
+      std::uint64_t* cur = &states[c * np];
+      for (std::size_t p = 0; p < np; ++p) {
         std::uint64_t flips = 0;
         for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
-          if (rng.uniform() < profile.toggle_rate) flips |= std::uint64_t{1} << b;
+          flips |= std::uint64_t{draw() < p_flip} << b;
         }
-        states[c][p] = states[c - 1][p] ^ flips;
+        cur[p] = prev[p] ^ flips;
       }
     }
   }
@@ -126,7 +135,7 @@ PowerReport estimate_power_packed(const Module& module, const StimulusProfile& p
             for (std::size_t b = 0; b < ports[p].bus.size(); ++b) {
               std::uint64_t word = 0;
               for (unsigned l = 0; l < lanes; ++l) {
-                word |= ((states[s + l][p] >> b) & 1u) << l;
+                word |= ((states[(s + l) * np + p] >> b) & 1u) << l;
               }
               sim.set_input_word(p, b, word);
             }

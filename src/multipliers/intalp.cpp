@@ -58,12 +58,11 @@ IntAlpDatapath::Row IntAlpDatapath::prepare(std::uint64_t a) const {
   const std::uint64_t xf = (a << (w - ka)) ^ one_w;
   const bool qx = ((xf >> (w - 1)) & 1u) != 0;
   const auto x = static_cast<std::int64_t>(xf);
-  const auto one = static_cast<std::int64_t>(one_w);
   // Field-wise selects: selecting a Plane reference would become a gather.
   return {xf,
           static_cast<std::int64_t>(ka) - static_cast<std::int64_t>(w),
-          (qx ? planes[2].ax : planes[0].ax) * x + (qx ? planes[2].c : planes[0].c) * one,
-          (qx ? planes[3].ax : planes[1].ax) * x + (qx ? planes[3].c : planes[1].c) * one,
+          (qx ? planes[2].ax : planes[0].ax) * x + (qx ? planes[2].cw : planes[0].cw),
+          (qx ? planes[3].ax : planes[1].ax) * x + (qx ? planes[3].cw : planes[1].cw),
           qx ? planes[2].ay : planes[0].ay,
           qx ? planes[3].ay : planes[1].ay};
 }
@@ -113,9 +112,10 @@ IntAlpMultiplier::IntAlpMultiplier(int n, int level) : n_{n}, level_{level} {
                                  0.5 * (qy + 1));
         const Plane plane{static_cast<std::int64_t>(std::lround(p[0] * scale)),
                           static_cast<std::int64_t>(std::lround(p[1] * scale)),
-                          static_cast<std::int64_t>(std::lround(p[2] * scale))};
+                          static_cast<std::int64_t>(std::lround(p[2] * scale)) *
+                              static_cast<std::int64_t>(dp_.one_w)};
         dp_.planes[static_cast<std::size_t>(qx * 2 + qy)] = plane;
-        dp_.planes[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax, plane.c};
+        dp_.planes[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax, plane.cw};
       }
     }
   }
@@ -142,7 +142,7 @@ std::uint64_t IntAlpMultiplier::multiply(std::uint64_t a, std::uint64_t b) const
     const auto qx = static_cast<int>((xf >> (w - 1)) & 1);
     const auto qy = static_cast<int>((yf >> (w - 1)) & 1);
     const Plane& pl = dp_.planes[static_cast<std::size_t>(qx * 2 + qy)];
-    p += (pl.ax * xf + pl.ay * yf + pl.c * one) >> kCoeffBits;
+    p += (pl.ax * xf + pl.ay * yf + pl.cw) >> kCoeffBits;
   }
 
   // C~ = 2^(ka+kb) · (1 + x + y + p).  The significand stays positive

@@ -25,10 +25,8 @@
 #include "realm/campaign/record.hpp"
 #include "realm/core/lut.hpp"
 #include "realm/error/monte_carlo.hpp"
-#include "realm/hw/circuits.hpp"
 #include "realm/hw/cost_model.hpp"
 #include "realm/hw/power.hpp"
-#include "realm/hw/timing.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/net/protocol.hpp"
 #include "realm/obs/counters.hpp"
@@ -940,17 +938,9 @@ struct Server::Impl {
         const hw::StimulusProfile profile =
             synthesis_profile(rq.cycles, opts.engine_threads);
         const auto compute = [&] {
-          const std::string spec = rq.spec.to_string();
           hw::CostModel cm{rq.n, profile};
-          const hw::DesignCost& cost = cm.cost(spec);
-          campaign::SynthesisResult s;
-          s.area_um2 = cost.area_um2;
-          s.power_uw = cost.power_uw;
-          s.area_reduction_pct = cm.area_reduction_pct(spec);
-          s.power_reduction_pct = cm.power_reduction_pct(spec);
-          s.delay_ps =
-              hw::analyze_timing(hw::build_circuit(rq.spec, rq.n)).critical_path_ps;
-          return campaign::serialize_synthesis(s);
+          return campaign::serialize_synthesis(
+              campaign::compute_synthesis(cm, rq.spec.to_string(), rq.n));
         };
         if (runner == nullptr) return compute();
         return runner->run_unit(

@@ -1,5 +1,6 @@
 #include "realm/numeric/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -39,74 +40,87 @@ inline void maybe_inject_test_slowdown() {
   }
 }
 
+// One parallel region: lives on its run() caller's stack.  Tasks are claimed
+// from the atomic cursor, so load balancing is dynamic and no per-task queue
+// allocation is needed; everything else is guarded by Impl::m.
+struct Region {
+  std::size_t count = 0;
+  const std::function<void(std::size_t)>* task = nullptr;
+  std::atomic<std::size_t> cursor{0};
+  unsigned max_helpers = 0;     // min(parallelism - 1, workers)
+  unsigned helpers = 0;         // workers draining it right now
+  bool helped = false;          // any worker ever joined
+  std::uint64_t start_ns = 0;   // publish time, for queue-wait telemetry
+  std::uint64_t trace_rid = 0;  // caller's request id, adopted by helpers
+  std::exception_ptr first_error;
+
+  [[nodiscard]] bool wants_helper() const noexcept {
+    return helpers < max_helpers &&
+           cursor.load(std::memory_order_relaxed) < count;
+  }
+};
+
 }  // namespace
 
 struct ThreadPool::Impl {
-  // One "region" at a time: run() serializes callers via region_mutex_ (with
-  // try_lock fallback to inline execution, see run()).  Workers claim task
-  // indices from the shared atomic cursor, so load balancing is dynamic and
-  // no per-task queue allocation is needed.
   std::mutex m;
-  std::condition_variable work_ready;
-  std::condition_variable region_done;
+  std::condition_variable work_ready;   // a region opened, or stop
+  std::condition_variable helper_left;  // some region's helper count fell
   std::vector<std::thread> threads;
-
-  std::mutex region_mutex;  // serializes concurrent run() callers
-
-  // Current region, valid while generation is odd-ended... simply guarded
-  // by m; workers re-check generation to detect new regions.
-  std::uint64_t generation = 0;
-  std::size_t count = 0;
-  unsigned helpers_wanted = 0;
-  const std::function<void(std::size_t)>* task = nullptr;
-  std::atomic<std::size_t> cursor{0};
-  unsigned active = 0;
-  std::uint64_t region_start_ns = 0;  // publish time, for queue-wait telemetry
-  std::uint64_t region_trace_rid = 0;  // caller's request id, adopted by helpers
-  std::exception_ptr first_error;
+  std::vector<Region*> open;  // regions still accepting helpers
+  unsigned active = 0;        // workers draining any region
   bool stop = false;
 
+  // The open region that wants a helper and has the fewest; null if none.
+  // Called with m held.
+  [[nodiscard]] Region* pick() const noexcept {
+    Region* best = nullptr;
+    for (Region* r : open) {
+      if (r->wants_helper() && (best == nullptr || r->helpers < best->helpers)) best = r;
+    }
+    return best;
+  }
+
   void worker_loop() {
-    std::uint64_t seen = 0;
     std::unique_lock lock{m};
     for (;;) {
-      work_ready.wait(lock, [&] { return stop || generation != seen; });
+      Region* r = nullptr;
+      work_ready.wait(lock, [&] { return stop || (r = pick()) != nullptr; });
       if (stop) return;
-      seen = generation;
-      if (helpers_wanted == 0) continue;  // region already fully staffed
-      --helpers_wanted;
+      ++r->helpers;
+      r->helped = true;
       ++active;
       obs::gauge_set(obs::Gauge::kPoolActiveWorkers, active);
       // Dispatch latency: time from the caller publishing the region to this
-      // worker starting on it (still under m, so region_start_ns is stable).
-      // The histogram carries the distribution (p50/p95/p99 of worker
-      // wake-up); the summed counter stays as its backward-compatible total.
-      const std::uint64_t wait_ns = obs::now_ns() - region_start_ns;
+      // worker starting on it.  The histogram carries the distribution
+      // (p50/p95/p99 of worker wake-up); the summed counter stays as its
+      // backward-compatible total.
+      const std::uint64_t wait_ns = obs::now_ns() - r->start_ns;
       obs::counter_add(obs::Counter::kPoolQueueWaitNs, wait_ns);
       obs::value_hist_record(obs::ValueHist::kPoolQueueWaitNs, wait_ns);
-      const std::uint64_t rid = region_trace_rid;  // stable while m is held
+      const std::uint64_t rid = r->trace_rid;
       lock.unlock();
       {
         // Helpers adopt the publishing caller's trace context so pool/task
         // spans inside a served request carry its request id.
         obs::ScopedTraceContext ctx{rid};
-        drain();
+        drain(*r);
       }
       lock.lock();
       --active;
       obs::gauge_set(obs::Gauge::kPoolActiveWorkers, active);
-      if (active == 0) region_done.notify_all();
+      if (--r->helpers == 0) helper_left.notify_all();
     }
   }
 
   // Claims and runs tasks until the region is exhausted.  Called without
   // holding m.
-  void drain() {
-    const std::size_t n = count;
-    const auto* fn = task;
+  void drain(Region& r) {
+    const std::size_t n = r.count;
+    const auto& fn = *r.task;
     std::uint64_t executed = 0;
     for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = r.cursor.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) break;
       // Occupancy gauge for the sampler: tasks are block-granularity, so one
       // relaxed store per claim is noise next to the work itself.
@@ -116,17 +130,18 @@ struct ThreadPool::Impl {
       REALM_TRACE_SCOPE("pool/task");
       maybe_inject_test_slowdown();
       try {
-        (*fn)(i);
+        fn(i);
       } catch (...) {
         obs::counter_add(obs::Counter::kPoolTasksFailed, 1);
         std::lock_guard lock{m};
-        // Only the first exception propagates to the caller; any further one
-        // is swallowed here.  That silent-loss path has hidden bugs inside
-        // instrumented regions before, so debug builds make it loud.
-        assert(first_error == nullptr &&
+        // Only the region's first exception propagates to its caller; any
+        // further one is swallowed here.  That silent-loss path has hidden
+        // bugs inside instrumented regions before, so debug builds make it
+        // loud.
+        assert(r.first_error == nullptr &&
                "ThreadPool task threw while another failure was already "
                "pending; this exception would be silently swallowed");
-        if (!first_error) first_error = std::current_exception();
+        if (!r.first_error) r.first_error = std::current_exception();
       }
     }
     if (executed != 0) {
@@ -162,17 +177,8 @@ void ThreadPool::run(std::size_t count, unsigned parallelism,
   if (count == 0) return;
   if (parallelism == 0) parallelism = workers() + 1;
 
-  // Inline paths: nothing to parallelize, or the pool is busy serving
-  // another caller (including a task on this pool calling run() again —
-  // running inline keeps that deadlock-free).
-  std::unique_lock region{impl_->region_mutex, std::try_to_lock};
-  if (parallelism <= 1 || count <= 1 || workers() == 0 || !region.owns_lock()) {
-    // The contention fallback (a parallel request degraded to serial because
-    // the pool was busy) used to be invisible; count it so saturated nests
-    // show up in the bench counters.
-    if (!region.owns_lock() && parallelism > 1 && count > 1 && workers() != 0) {
-      obs::counter_add(obs::Counter::kPoolTasksInline, count);
-    }
+  // Nothing to parallelize: run inline without publishing a region.
+  if (parallelism <= 1 || count <= 1 || workers() == 0) {
     for (std::size_t i = 0; i < count; ++i) {
       REALM_TRACE_SCOPE("pool/task");
       maybe_inject_test_slowdown();
@@ -183,27 +189,33 @@ void ThreadPool::run(std::size_t count, unsigned parallelism,
   }
 
   obs::counter_add(obs::Counter::kPoolRegions, 1);
+  Region r;
+  r.count = count;
+  r.task = &task;
+  r.max_helpers = std::min(parallelism - 1, workers());
+  r.trace_rid = obs::current_trace_rid();
   {
     std::lock_guard lock{impl_->m};
-    impl_->count = count;
-    impl_->task = &task;
-    impl_->cursor.store(0, std::memory_order_relaxed);
-    impl_->first_error = nullptr;
-    const auto max_helpers = static_cast<unsigned>(impl_->threads.size());
-    impl_->helpers_wanted = std::min(parallelism - 1, max_helpers);
-    impl_->region_start_ns = obs::now_ns();
-    impl_->region_trace_rid = obs::current_trace_rid();
-    ++impl_->generation;
+    r.start_ns = obs::now_ns();
+    impl_->open.push_back(&r);
   }
   impl_->work_ready.notify_all();
 
-  impl_->drain();  // the caller is a full participant
+  impl_->drain(r);  // the caller is a full participant
 
+  // Every task is claimed now.  Close the region to new helpers and wait only
+  // for the ones still finishing a claimed task, so a run() nested inside a
+  // task never waits on work nobody has picked up.
   std::unique_lock lock{impl_->m};
-  impl_->region_done.wait(lock, [&] { return impl_->active == 0; });
-  impl_->helpers_wanted = 0;  // late wakers must not join a finished region
-  impl_->task = nullptr;
-  if (impl_->first_error) std::rethrow_exception(impl_->first_error);
+  std::erase(impl_->open, &r);
+  impl_->helper_left.wait(lock, [&] { return r.helpers == 0; });
+  if (!r.helped) {
+    // Starvation: a region that asked for parallelism ran entirely on its
+    // caller, because every worker was busy in other regions (or none woke
+    // before the caller had claimed every task).
+    obs::counter_add(obs::Counter::kPoolTasksInline, count);
+  }
+  if (r.first_error) std::rethrow_exception(r.first_error);
 }
 
 ThreadPool& ThreadPool::global() {

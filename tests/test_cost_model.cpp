@@ -1,8 +1,13 @@
 #include "realm/hw/cost_model.hpp"
 
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
+
+#include "realm/hw/circuits.hpp"
 
 using namespace realm::hw;
 
@@ -71,4 +76,75 @@ TEST(CostModel, IntAlpL2IsTheCostliestApproximate) {
   for (const char* spec : {"calm", "realm:m=16,t=0", "drum:k=8", "ssm:m=10"}) {
     EXPECT_LT(intalp, cm.area_reduction_pct(spec)) << spec;
   }
+}
+
+// The calibration memo is process-wide, so the tests below hold whatever
+// earlier tests in the same process left in it.
+
+TEST(CostModel, MemoHitsMatchAFreshCalibration) {
+  StimulusProfile p;
+  p.cycles = 300;
+  CostModel first{16, p};
+  const std::size_t held = CostModel::calibration_memo_size();
+  p.threads = 1;  // never changes a report, so it shares the entry
+  CostModel hit{16, p};
+  EXPECT_EQ(CostModel::calibration_memo_size(), held);
+
+  // The calibration done by hand, with no memo in the way.
+  const Module acc = build_accurate(16);
+  const double area_scale = kPaperAccurateAreaUm2 / acc.area_um2();
+  const double power_scale = kPaperAccuratePowerUw / estimate_power(acc, p).total();
+  const Module design = build_circuit("realm:m=16,t=8", 16);
+  const double area = design.area_um2() * area_scale;
+  const double power = estimate_power(design, p).total() * power_scale;
+  for (CostModel* cm : {&first, &hit}) {
+    EXPECT_EQ(cm->cost("realm:m=16,t=8").area_um2, area);
+    EXPECT_EQ(cm->cost("realm:m=16,t=8").power_uw, power);
+  }
+}
+
+TEST(CostModel, MemoStaysAtCapacity) {
+  StimulusProfile p;
+  p.cycles = 1;
+  CostModel first{4, p};
+  const DesignCost before = first.cost("calm");
+  for (std::uint32_t cycles = 1; cycles <= 1000; ++cycles) {
+    p.cycles = cycles;
+    CostModel cm{4, p};
+  }
+  EXPECT_EQ(CostModel::calibration_memo_size(), CostModel::kCalibrationMemoCapacity);
+
+  // cycles = 1 was evicted long ago: recalibrating it reproduces the figures.
+  p.cycles = 1;
+  CostModel again{4, p};
+  EXPECT_EQ(again.cost("calm").area_um2, before.area_um2);
+  EXPECT_EQ(again.cost("calm").power_uw, before.power_uw);
+}
+
+TEST(CostModel, ConcurrentConstructorsOnOneProfileAgree) {
+  constexpr std::size_t kThreads = 4;
+  std::array<DesignCost, kThreads> got{};
+  std::array<std::thread, kThreads> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads[t] = std::thread{[&got, t] {
+      StimulusProfile p;
+      p.cycles = 2100;  // three packed blocks, so the power sweep uses the pool
+      p.threads = static_cast<int>(t);
+      CostModel cm{16, p};
+      got[t] = cm.cost("realm:m=16,t=8");
+    }};
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(got[t].area_um2, got[0].area_um2) << t;
+    EXPECT_EQ(got[t].power_uw, got[0].power_uw) << t;
+  }
+  // The profile is in the memo now: another constructor hits it and adds
+  // nothing.
+  const std::size_t held = CostModel::calibration_memo_size();
+  StimulusProfile p;
+  p.cycles = 2100;
+  CostModel again{16, p};
+  EXPECT_EQ(CostModel::calibration_memo_size(), held);
+  EXPECT_EQ(again.cost("realm:m=16,t=8").power_uw, got[0].power_uw);
 }

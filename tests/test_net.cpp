@@ -28,6 +28,7 @@
 #include "realm/campaign/runner.hpp"
 #include "realm/core/lut.hpp"
 #include "realm/error/monte_carlo.hpp"
+#include "realm/hw/cost_model.hpp"
 #include "realm/multipliers/registry.hpp"
 #include "realm/net/client.hpp"
 #include "realm/net/server.hpp"
@@ -365,6 +366,29 @@ TEST(NetServer, ExhaustiveAndSijAndSynthesis) {
   EXPECT_GT(s.area_um2, 0.0);
   EXPECT_GT(s.power_uw, 0.0);
   EXPECT_GT(s.delay_ps, 0.0);
+}
+
+TEST(NetServer, SynthesisReplyIsTheLibraryComputation) {
+  hw::StimulusProfile profile;
+  profile.cycles = 64;
+  // Computed before the server runs: under ctest (one process per test) this
+  // is the calibration memo's miss and the server's job a hit, and the reply
+  // bytes must not tell them apart.
+  hw::CostModel cm{8, profile};
+  const std::string expected =
+      campaign::serialize_synthesis(campaign::compute_synthesis(cm, "realm:m=8,t=2", 8));
+
+  TestServer ts{net::ServerOptions{}};
+  net::Client c;
+  c.connect_tcp(ts.port());
+  const std::string body = campaign::PayloadWriter{}
+                               .field_str("spec", "realm:m=8,t=2")
+                               .field("n", std::int64_t{8})
+                               .field("cycles", std::uint64_t{64})
+                               .str();
+  const Frame syn = c.call(MsgType::kSynthesisCost, 9, body, 120000);
+  ASSERT_EQ(syn.type, MsgType::kReplyOk);
+  EXPECT_EQ(syn.body, expected);
 }
 
 TEST(NetServer, TypedErrorsKeepTheConnection) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -19,8 +20,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <latch>
 #include <random>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,31 +292,102 @@ TEST(Counters, AtomicityUnderThreadPool) {
   EXPECT_EQ(obs::gauge_value(obs::Gauge::kPoolWorkers), 3u);
 }
 
-TEST(Counters, InlineFallbackIsCounted) {
+// The pool tests below synchronize on latches, never on sleeps: a task that
+// waits at a latch sized to its region's task count can only pass once a
+// helper has claimed the others, so "got a helper" is proved, not timed.
+
+TEST(Counters, RegionWithoutAHelperCountsAsInline) {
   ObsSandbox sandbox;
-  ThreadPool pool{2};
-  std::atomic<bool> occupied{false};
+  ThreadPool pool{1};
+  std::latch busy{2};
   std::atomic<bool> release{false};
 
-  // Occupy the pool's region lock from another thread, then issue a second
-  // parallel run(): it must degrade to inline execution and say so.
+  // Park the only worker inside a region of its own...
   std::thread holder{[&] {
-    pool.run(3, 0, [&](std::size_t) {
-      occupied.store(true);
+    pool.run(2, 0, [&](std::size_t) {
+      busy.arrive_and_wait();
       while (!release.load()) std::this_thread::yield();
     });
   }};
-  while (!occupied.load()) std::this_thread::yield();
+  busy.wait();
 
-  constexpr std::size_t kContended = 5;
+  // ...so this parallel region starves: it runs entirely on its caller.
+  constexpr std::size_t kStarved = 5;
   std::atomic<std::size_t> ran{0};
-  pool.run(kContended, 0, [&](std::size_t) { ran.fetch_add(1); });
+  pool.run(kStarved, 0, [&](std::size_t) { ran.fetch_add(1); });
   release.store(true);
   holder.join();
 
-  EXPECT_EQ(ran.load(), kContended);  // fallback still runs every task
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksInline), kContended);
-  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksExecuted), kContended + 3);
+  EXPECT_EQ(ran.load(), kStarved);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksInline), kStarved);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksExecuted), kStarved + 2);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolRegions), 2u);
+}
+
+TEST(Counters, ConcurrentRegionsEachGetAHelper) {
+  ObsSandbox sandbox;
+  ThreadPool pool{2};
+  constexpr std::size_t kTasks = 2;
+  std::array<std::array<std::atomic<int>, kTasks>, 2> hits{};
+  std::latch both_open{2};
+  std::array<std::latch, 2> region_staffed{std::latch{kTasks}, std::latch{kTasks}};
+
+  // Each region allows one helper; its two tasks rendezvous, so neither
+  // finishes until a worker has joined beside the caller.  The first latch
+  // holds both regions open at once.
+  const auto caller = [&](std::size_t r) {
+    pool.run(kTasks, 2, [&, r](std::size_t i) {
+      if (i == 0) both_open.arrive_and_wait();
+      region_staffed[r].arrive_and_wait();
+      ++hits[r][i];
+    });
+  };
+  std::thread a{caller, 0};
+  std::thread b{caller, 1};
+  a.join();
+  b.join();
+
+  for (const auto& region : hits) {
+    for (const auto& h : region) EXPECT_EQ(h.load(), 1);
+  }
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolRegions), 2u);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksExecuted), 2 * kTasks);
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPoolTasksInline), 0u);
+  EXPECT_EQ(obs::value_hist_snapshot(obs::ValueHist::kPoolQueueWaitNs).count, 2u);
+}
+
+TEST(ThreadPool, NestedRunInsideAHelperCompletes) {
+  ThreadPool pool{2};
+  std::latch outer_staffed{2};
+  std::atomic<int> inner_total{0};
+  pool.run(2, 2, [&](std::size_t) {
+    outer_staffed.arrive_and_wait();  // one of the two tasks is on a worker
+    pool.run(8, 0, [&](std::size_t) { inner_total.fetch_add(1); });
+  });
+  EXPECT_EQ(inner_total.load(), 16);
+}
+
+TEST(ThreadPool, EachCallerGetsOnlyItsOwnException) {
+  ThreadPool pool{2};
+  std::latch both_open{2};
+  std::array<std::string, 2> caught;
+  const auto caller = [&](std::size_t r) {
+    try {
+      pool.run(4, 0, [&, r](std::size_t i) {
+        if (i != 0) return;
+        both_open.arrive_and_wait();
+        throw std::runtime_error(r == 0 ? "region 0" : "region 1");
+      });
+    } catch (const std::runtime_error& e) {
+      caught[r] = e.what();
+    }
+  };
+  std::thread a{caller, 0};
+  std::thread b{caller, 1};
+  a.join();
+  b.join();
+  EXPECT_EQ(caught[0], "region 0");
+  EXPECT_EQ(caught[1], "region 1");
 }
 
 TEST(Counters, ResetZeroesCountersButKeepsGauges) {

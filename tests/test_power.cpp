@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "realm/hw/circuits.hpp"
 
@@ -38,12 +39,19 @@ TEST(Power, PackedEngineMatchesScalarReference) {
   const Module m = build_circuit("realm:m=16,t=0", 16);
   StimulusProfile p = quick();
   p.cycles = 1100;  // one full 1024-cycle block plus a partial tail
-  const auto ref = estimate_power_reference(m, p);
-  for (const int threads : {1, 2, 5}) {
-    p.threads = threads;
-    const auto got = estimate_power(m, p);
-    EXPECT_EQ(ref.dynamic, got.dynamic) << threads << " threads";
-    EXPECT_EQ(ref.leakage, got.leakage) << threads << " threads";
+  // The default profile's rates are dyadic; 0.3 and 0.37 are not, so they
+  // pin the packed path's scaled threshold compare to uniform() < p.
+  for (const auto& [toggle, prob] : {std::pair{0.25, 0.5}, std::pair{0.3, 0.37}}) {
+    p.toggle_rate = toggle;
+    p.probability = prob;
+    p.threads = 0;
+    const auto ref = estimate_power_reference(m, p);
+    for (const int threads : {1, 2, 5}) {
+      p.threads = threads;
+      const auto got = estimate_power(m, p);
+      EXPECT_EQ(ref.dynamic, got.dynamic) << toggle << "/" << prob << ", " << threads;
+      EXPECT_EQ(ref.leakage, got.leakage) << toggle << "/" << prob << ", " << threads;
+    }
   }
 }
 
