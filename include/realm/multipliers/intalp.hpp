@@ -76,6 +76,12 @@ class IntAlpMultiplier final : public DatapathMultiplier<IntAlpDatapath> {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int width() const override { return n_; }
 
+  /// The level-2 residual planes the datapath evaluates (all zero at level
+  /// 1); the gate-level model hardwires the same constants.
+  [[nodiscard]] const std::array<IntAlpDatapath::Plane, 4>& planes() const noexcept {
+    return dp_.planes;
+  }
+
  private:
   using Plane = IntAlpDatapath::Plane;
   static constexpr int kCoeffBits = IntAlpDatapath::kCoeffBits;

@@ -27,6 +27,8 @@
 #include <atomic>
 #include <cstdint>
 
+#include "realm/obs/counters.hpp"  // the catalog-table expanders
+
 namespace realm::obs {
 
 inline constexpr unsigned kHistogramBuckets = 64;
@@ -129,24 +131,26 @@ struct AtomicHistogram {
   }
 };
 
-/// Always-on value-histogram catalog (the distributional siblings of the
-/// counters in counters.hpp; keep value_hist_name() in sync):
-///   kPoolQueueWaitNs    ns between a region publish and a worker starting
-///                       on it (one record per worker join; the summed
-///                       kPoolQueueWaitNs counter is kept as the
-///                       backward-compatible total)
-///   kStoreRecordBytes   on-disk size of each campaign-store record
-///                       appended (header + key + payload)
-enum class ValueHist : unsigned {
-  kPoolQueueWaitNs = 0,
-  kStoreRecordBytes,
-  kCount
-};
+/// Always-on value-histogram catalog, the distributional siblings of the
+/// counters: one X(enumerator, "json_name", "meaning") entry each, read the
+/// same way as the tables in counters.hpp.
+// clang-format off
+#define REALM_OBS_VALUE_HISTS(X)                                                         \
+  X(kPoolQueueWaitNs, "pool_queue_wait_ns",                                              \
+    "ns between a region publish and a worker starting on it (one record per "           \
+    "worker join; the counter of the same name keeps the total)")                        \
+  X(kStoreRecordBytes, "store_record_bytes",                                             \
+    "on-disk size of each campaign-store record appended (header + key + payload)")
+// clang-format on
+
+enum class ValueHist : unsigned { REALM_OBS_VALUE_HISTS(REALM_OBS_ENUMERATOR) kCount };
 
 inline constexpr unsigned kValueHistCount = static_cast<unsigned>(ValueHist::kCount);
 
 namespace detail {
 extern AtomicHistogram g_value_hists[kValueHistCount];
+inline constexpr const char* kValueHistNames[] = {
+    REALM_OBS_VALUE_HISTS(REALM_OBS_JSON_NAME)};
 }  // namespace detail
 
 inline void value_hist_record(ValueHist h, std::uint64_t v) noexcept {
@@ -158,7 +162,10 @@ inline void value_hist_record(ValueHist h, std::uint64_t v) noexcept {
 }
 
 /// Stable snake_case JSON key (same contract as counter_name()).
-[[nodiscard]] const char* value_hist_name(ValueHist h) noexcept;
+[[nodiscard]] constexpr const char* value_hist_name(ValueHist h) noexcept {
+  const auto i = static_cast<unsigned>(h);
+  return i < kValueHistCount ? detail::kValueHistNames[i] : "unknown";
+}
 
 /// Zeroes every value histogram (test/bench support; quiesce writers first).
 void value_hist_reset() noexcept;

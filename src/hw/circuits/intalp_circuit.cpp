@@ -4,14 +4,13 @@
 // selection/correction logic that makes IntALP's area savings poor
 // (Table I: 17.8 % for L=2).
 
-#include <cmath>
 #include <stdexcept>
 
 #include "log_common.hpp"
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/components.hpp"
+#include "realm/multipliers/intalp.hpp"
 #include "realm/numeric/bits.hpp"
-#include "realm/numeric/quadrature.hpp"
 
 namespace realm::hw {
 namespace {
@@ -40,63 +39,12 @@ Bus const_mul_signed(Module& m, const Bus& v, long long coeff, int width) {
   return acc;
 }
 
-// Least-squares plane fit of the level-1 residual per quadrant — must match
-// IntAlpMultiplier's construction exactly, so the same math is repeated here
-// (kept in one translation unit each to avoid a public header for internals).
-struct PlaneCoeffs {
-  long long ax, ay, c;
-};
-
-double level1_plane(double x, double y) {
-  const double s = x + y;
-  return s < 1.0 ? 0.25 * s : 0.25 * (3.0 * s - 2.0);
-}
-
-std::array<PlaneCoeffs, 4> residual_planes(int coeff_bits) {
-  const auto residual = [](double x, double y) { return x * y - level1_plane(x, y); };
-  std::array<PlaneCoeffs, 4> out{};
-  const double scale = std::ldexp(1.0, coeff_bits);
-  for (int qx = 0; qx < 2; ++qx) {
-    for (int qy = 0; qy <= qx; ++qy) {
-      const double x0 = 0.5 * qx, x1 = 0.5 * (qx + 1);
-      const double y0 = 0.5 * qy, y1 = 0.5 * (qy + 1);
-      const auto I = [&](const num::Fn2& g) {
-        return num::integrate2d(g, x0, x1, y0, y1, 1e-10);
-      };
-      const double sxx = I([](double x, double) { return x * x; });
-      const double sxy = I([](double x, double y) { return x * y; });
-      const double sx = I([](double x, double) { return x; });
-      const double syy = I([](double, double y) { return y * y; });
-      const double sy = I([](double, double y) { return y; });
-      const double s1 = I([](double, double) { return 1.0; });
-      const double rx = I([&](double x, double y) { return residual(x, y) * x; });
-      const double ry = I([&](double x, double y) { return residual(x, y) * y; });
-      const double r1 = I(residual);
-      const auto det3 = [](double A, double B, double C, double D, double E, double G,
-                           double H, double Ii, double J) {
-        return A * (E * J - G * Ii) - B * (D * J - G * H) + C * (D * Ii - E * H);
-      };
-      const double det = det3(sxx, sxy, sx, sxy, syy, sy, sx, sy, s1);
-      const double pa = det3(rx, sxy, sx, ry, syy, sy, r1, sy, s1) / det;
-      const double pb = det3(sxx, rx, sx, sxy, ry, sy, sx, r1, s1) / det;
-      const double pc = det3(sxx, sxy, rx, sxy, syy, ry, sx, sy, r1) / det;
-      const PlaneCoeffs plane{static_cast<long long>(std::lround(pa * scale)),
-                              static_cast<long long>(std::lround(pb * scale)),
-                              static_cast<long long>(std::lround(pc * scale))};
-      // Mirror into the symmetric quadrant — must match IntAlpMultiplier.
-      out[static_cast<std::size_t>(qx * 2 + qy)] = plane;
-      out[static_cast<std::size_t>(qy * 2 + qx)] = {plane.ay, plane.ax, plane.c};
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Module build_intalp(int n, int level) {
   if (n < 3 || n > 24) throw std::invalid_argument("build_intalp: N in [3, 24]");
   if (level != 1 && level != 2) throw std::invalid_argument("build_intalp: level 1 or 2");
-  constexpr int kCoeffBits = 10;  // must match IntAlpMultiplier::kCoeffBits
+  constexpr int kCoeffBits = mult::IntAlpDatapath::kCoeffBits;
 
   Module m{"intalp" + std::to_string(n) + "_l" + std::to_string(level)};
   const Bus a = m.add_input("a", n);
@@ -125,15 +73,16 @@ Module build_intalp(int n, int level) {
   sig = ripple_add(m, sig, p1).sum;
 
   if (level == 2) {
-    const auto planes = residual_planes(kCoeffBits);
+    // The behavioral model's quantized planes, so the two cannot drift.
+    const mult::IntAlpMultiplier model{n, level};
+    const auto& planes = model.planes();
     const int pw = w + kCoeffBits + 3;
     std::array<Bus, 4> evals;
     for (std::size_t qi = 0; qi < 4; ++qi) {
       Bus e = const_mul_signed(m, oa.frac, planes[qi].ax, pw);
       e = ripple_add(m, e, const_mul_signed(m, ob.frac, planes[qi].ay, pw)).sum;
-      // c · 2^w is a hardwired constant (two's complement, mod 2^pw).
-      const auto cterm_val = static_cast<std::uint64_t>(planes[qi].c)
-                             << w & num::mask(pw);
+      // cw = c · 2^w is a hardwired constant (two's complement, mod 2^pw).
+      const auto cterm_val = static_cast<std::uint64_t>(planes[qi].cw) & num::mask(pw);
       e = ripple_add(m, e, m.constant(cterm_val, pw)).sum;
       evals[qi] = std::move(e);
     }

@@ -901,7 +901,12 @@ struct Server::Impl {
   /// the parsed spec (under a microsecond; REALM's LUT comes from the shared
   /// SegmentLut cache), so the server keeps no per-spec state.
   [[nodiscard]] std::string compute_body(const Request& rq) {
-    campaign::CampaignRunner* runner = opts.campaign;
+    // The same content address the loop's warm path looks up.
+    const auto cached = [&](const auto& compute) -> std::string {
+      campaign::CampaignRunner* runner = opts.campaign;
+      if (runner == nullptr) return compute();
+      return runner->run_unit(request_key(rq, opts.engine_threads), compute);
+    };
     switch (rq.type) {
       case MsgType::kMultiplyBatch: {
         const auto model = mult::make_multiplier(rq.spec, rq.n);
@@ -917,35 +922,23 @@ struct Server::Impl {
         opts_mc.seed = rq.seed;
         opts_mc.threads = opts.engine_threads;
         const auto model = mult::make_multiplier(rq.spec, rq.n);
-        const auto compute = [&] {
+        return cached([&] {
           return campaign::serialize_error_metrics(err::monte_carlo(*model, opts_mc));
-        };
-        if (runner == nullptr) return compute();
-        return runner->run_unit(campaign::monte_carlo_key(rq.spec, rq.n, opts_mc),
-                                compute);
+        });
       }
       case MsgType::kCharacterizeExhaustive: {
         const auto model = mult::make_multiplier(rq.spec, rq.n);
-        const auto compute = [&] {
+        return cached([&] {
           return campaign::serialize_exhaustive_report(err::exhaustive_report(
               *model, nullptr, rq.lo, rq.hi, opts.engine_threads));
-        };
-        if (runner == nullptr) return compute();
-        return runner->run_unit(
-            campaign::exhaustive_key(rq.spec, rq.n, rq.lo, rq.hi), compute);
+        });
       }
-      case MsgType::kSynthesisCost: {
-        const hw::StimulusProfile profile =
-            synthesis_profile(rq.cycles, opts.engine_threads);
-        const auto compute = [&] {
-          hw::CostModel cm{rq.n, profile};
+      case MsgType::kSynthesisCost:
+        return cached([&] {
+          hw::CostModel cm{rq.n, synthesis_profile(rq.cycles, opts.engine_threads)};
           return campaign::serialize_synthesis(
               campaign::compute_synthesis(cm, rq.spec.to_string(), rq.n));
-        };
-        if (runner == nullptr) return compute();
-        return runner->run_unit(
-            campaign::synthesis_key(rq.spec, rq.n, profile), compute);
-      }
+        });
       case MsgType::kSijLookup: {
         const auto lut = core::SegmentLut::shared(rq.m, rq.q);
         std::vector<double> exact;

@@ -33,15 +33,6 @@ std::uint64_t HistogramSnapshot::percentile(double q) const noexcept {
   return max;  // unreachable when bucket counts are consistent with count
 }
 
-const char* value_hist_name(ValueHist h) noexcept {
-  switch (h) {
-    case ValueHist::kPoolQueueWaitNs: return "pool_queue_wait_ns";
-    case ValueHist::kStoreRecordBytes: return "store_record_bytes";
-    case ValueHist::kCount: break;
-  }
-  return "unknown";
-}
-
 void value_hist_reset() noexcept {
   for (auto& h : detail::g_value_hists) h.reset();
 }

@@ -273,7 +273,7 @@ std::string MetricsSink::history_record() const {
   line("commit", run_commit());
   line("host", run_host());
   line("hw_threads", std::to_string(std::thread::hardware_concurrency()));
-  line("pool_workers", std::to_string(gauge_value(Gauge::kPoolWorkers)));
+  line(gauge_name(Gauge::kPoolWorkers), std::to_string(gauge_value(Gauge::kPoolWorkers)));
 
   for (const auto& [key, value] : metrics_) {
     if (!value.is_numeric()) continue;  // strings/bools cannot regress numerically

@@ -1,5 +1,6 @@
 #include "realm/obs/trace.hpp"
 
+#include "realm/obs/counters.hpp"
 #include "realm/obs/sampler.hpp"
 
 #include <array>
@@ -287,8 +288,8 @@ std::string chrome_trace_json() {
       out += std::to_string(value);
       out += "}}";
     };
-    counter_event("pool_active_workers", "active", s.pool_active);
-    counter_event("pool_queue_depth", "depth", s.pool_queue_depth);
+    counter_event(gauge_name(Gauge::kPoolActiveWorkers), "active", s.pool_active);
+    counter_event(gauge_name(Gauge::kPoolQueueDepth), "depth", s.pool_queue_depth);
     counter_event("rss_kb", "kb", s.rss_kb);
   }
   out += "]}";

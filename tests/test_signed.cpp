@@ -1,86 +1,40 @@
-#include "realm/multipliers/signed_adapter.hpp"
-
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "realm/hw/circuits.hpp"
 #include "realm/hw/simulator.hpp"
-#include "realm/numeric/bits.hpp"
+#include "realm/multipliers/registry.hpp"
+#include "realm/numeric/fixed_point.hpp"
 #include "realm/numeric/rng.hpp"
 
 using namespace realm;
 
-TEST(SignedAdapter, ExactCoreGivesExactSignedProducts) {
-  const auto mul = mult::make_signed_multiplier("accurate", 16);
-  num::Xoshiro256 rng{1};
-  for (int it = 0; it < 50000; ++it) {
-    const auto a = static_cast<std::int64_t>(rng.below(65536)) - 32768;
-    const auto b = static_cast<std::int64_t>(rng.below(65536)) - 32768;
-    ASSERT_EQ(mul.multiply(a, b), a * b);
-  }
-}
-
-TEST(SignedAdapter, SignGrid) {
-  const auto mul = mult::make_signed_multiplier("accurate", 16);
-  EXPECT_EQ(mul.multiply(100, 200), 20000);
-  EXPECT_EQ(mul.multiply(-100, 200), -20000);
-  EXPECT_EQ(mul.multiply(100, -200), -20000);
-  EXPECT_EQ(mul.multiply(-100, -200), 20000);
-  EXPECT_EQ(mul.multiply(0, -200), 0);
-  EXPECT_EQ(mul.multiply(-32768, -32768), 32768LL * 32768LL);  // INT_MIN edge
-}
-
-TEST(SignedAdapter, ApproximateErrorIsSignSymmetric) {
-  // Sign-magnitude: |error(a,b)| must be identical across all sign
-  // combinations of the same magnitudes.
-  const auto mul = mult::make_signed_multiplier("realm:m=8,t=2", 16);
-  num::Xoshiro256 rng{2};
-  for (int it = 0; it < 20000; ++it) {
-    const auto a = static_cast<std::int64_t>(1 + rng.below(32767));
-    const auto b = static_cast<std::int64_t>(1 + rng.below(32767));
-    const std::int64_t pp = mul.multiply(a, b);
-    ASSERT_EQ(mul.multiply(-a, b), -pp);
-    ASSERT_EQ(mul.multiply(a, -b), -pp);
-    ASSERT_EQ(mul.multiply(-a, -b), pp);
-  }
-}
-
-TEST(SignedAdapter, RealmErrorEnvelopeCarriesOver) {
-  const auto mul = mult::make_signed_multiplier("realm:m=16,t=0", 16);
-  num::Xoshiro256 rng{3};
-  for (int it = 0; it < 50000; ++it) {
-    const auto a = static_cast<std::int64_t>(rng.below(65535)) - 32767;
-    const auto b = static_cast<std::int64_t>(rng.below(65535)) - 32767;
-    if (a == 0 || b == 0) continue;
-    const double exact = static_cast<double>(a) * static_cast<double>(b);
-    const double rel = 100.0 * (static_cast<double>(mul.multiply(a, b)) - exact) / exact;
-    ASSERT_GT(rel, -2.3);
-    ASSERT_LT(rel, 2.0);
-  }
-}
-
 TEST(SignedCircuit, MatchesTheBehavioralAdapter) {
+  // The gate-level sign-magnitude wrapper against the library's signed
+  // batch path over the same unsigned core.
   num::Xoshiro256 rng{4};
   for (const char* spec : {"accurate", "calm", "realm:m=8,t=4", "drum:k=6"}) {
-    const auto model = mult::make_signed_multiplier(spec, 16);
+    const auto core = mult::make_multiplier(spec, 16);
     const hw::Module mod = hw::build_signed_circuit(spec, 16);
     hw::Simulator sim{mod};
     const int out_bits = static_cast<int>(mod.outputs()[0].bus.size());
-    for (int it = 0; it < 2000; ++it) {
-      const auto a = static_cast<std::int64_t>(rng.below(65536)) - 32768;
-      const auto b = static_cast<std::int64_t>(rng.below(65536)) - 32768;
+    std::vector<std::int64_t> a(2000), b(2000), want(2000);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      a[i] = static_cast<std::int64_t>(rng.below(65536)) - 32768;
+      b[i] = static_cast<std::int64_t>(rng.below(65536)) - 32768;
+    }
+    num::signed_mul_batch(a.data(), b.data(), want.data(), a.size(), *core);
+    for (std::size_t i = 0; i < a.size(); ++i) {
       const std::uint64_t raw =
-          sim.run({static_cast<std::uint64_t>(a) & 0xFFFF,
-                   static_cast<std::uint64_t>(b) & 0xFFFF});
+          sim.run({static_cast<std::uint64_t>(a[i]) & 0xFFFF,
+                   static_cast<std::uint64_t>(b[i]) & 0xFFFF});
       // Two's-complement decode of the out_bits-wide product bus.
       std::int64_t got = static_cast<std::int64_t>(raw);
       if ((raw >> (out_bits - 1)) & 1u) {
         got -= std::int64_t{1} << out_bits;
       }
-      ASSERT_EQ(got, model.multiply(a, b)) << spec << " a=" << a << " b=" << b;
+      ASSERT_EQ(got, want[i]) << spec << " a=" << a[i] << " b=" << b[i];
     }
   }
-}
-
-TEST(SignedAdapter, RejectsNullCore) {
-  EXPECT_THROW(mult::SignedMultiplier{nullptr}, std::invalid_argument);
 }

@@ -78,8 +78,8 @@ struct Args {
   return true;
 }
 
-/// "slo.ping.w10.count" -> "slo_ping_w10_count"; "counter.net_requests" ->
-/// "net_requests" (counters/gauges keep their catalog names, which are
+/// `slo.ping.w10.count` -> `slo_ping_w10_count`; `counter.net_requests` ->
+/// `net_requests` (counters/gauges keep their catalog names, which are
 /// already snake_case and collision-free).
 [[nodiscard]] std::string flat_metric_name(const std::string& field) {
   std::string name = field;
